@@ -12,7 +12,7 @@ import sys
 import time
 
 from .errors import InputError, ResourceLimitError
-from .groebner import buchberger_mora, groebner_lazard
+from .groebner import STRATEGIES, groebner_basis
 from .localb import ann_fs, approx_nf, local_b_function
 from .opdiv import op_approx_div
 from .orders import operator_order
@@ -41,7 +41,7 @@ def _build_parser():
 
     p = sub.add_parser("localb", help="local b-function of a polynomial at 0")
     common(p)
-    p.add_argument("--gb", default="mora", choices=["mora", "lazard"])
+    p.add_argument("--gb", default="mora", choices=STRATEGIES)
     p.add_argument("--n0", type=int, help="starting truncation degree")
     p.add_argument("--nmax", type=int,
                    help="maximum truncation degree (default: env BFUNC_NMAX or 64)")
@@ -51,14 +51,14 @@ def _build_parser():
 
     p = sub.add_parser("gb", help="Groebner basis under the operator division order")
     common(p, nexpr="many")
-    p.add_argument("--gb", default="mora", choices=["mora", "lazard"])
+    p.add_argument("--gb", default="mora", choices=STRATEGIES)
 
     p = sub.add_parser("nf", help="approximate normal form modulo an ideal")
     common(p)
     p.add_argument("--ideal", action="append", required=True,
                    help="ideal generator (repeatable)")
     p.add_argument("--n", type=int, required=True, help="truncation degree")
-    p.add_argument("--gb", default="mora", choices=["mora", "lazard"])
+    p.add_argument("--gb", default="mora", choices=STRATEGIES)
 
     p = sub.add_parser("divide", help="approximate division by a list of operators")
     common(p)
@@ -101,23 +101,17 @@ def _emit(args, payload, text):
         print(text)
 
 
-def _basis(gens, names, strategy, tie):
-    order = operator_order(len(names), tie)
-    if strategy == "lazard":
-        return groebner_lazard(gens, order)
-    return buchberger_mora(gens, order)
-
-
 def _run_localb(args):
     names = _names(args)
     f = parse_poly(_main_expr(args), names)
-    n = len(names)
-    for exp in f.terms:
-        if any(exp[n:]):
-            raise InputError("localb input must not involve s")
     nmax = args.nmax
     if nmax is None:
-        nmax = int(os.environ.get("BFUNC_NMAX", "64"))
+        raw = os.environ.get("BFUNC_NMAX", "64")
+        try:
+            nmax = int(raw)
+        except ValueError:
+            raise InputError(
+                f"BFUNC_NMAX must be an integer, got {raw!r}") from None
     t0 = time.perf_counter()
     result = local_b_function(f, gb_strategy=args.gb, n0=args.n0, nmax=nmax,
                               tie=args.tie)
@@ -159,7 +153,7 @@ def _run_gb(args):
     if not exprs:
         raise InputError("missing ideal generators")
     gens = [parse_op(e, names) for e in exprs]
-    gb = _basis(gens, names, args.gb, args.tie)
+    gb = groebner_basis(gens, operator_order(len(names), args.tie), args.gb)
     rendered = [format_poly(g, names, gb.order) for g in gb.elements]
     _emit(args, {"basis": rendered, "strategy": args.gb}, "\n".join(rendered))
 
@@ -168,7 +162,7 @@ def _run_nf(args):
     names = _names(args)
     p = parse_op(_main_expr(args), names)
     gens = [parse_op(e, names) for e in args.ideal]
-    gb = _basis(gens, names, args.gb, args.tie)
+    gb = groebner_basis(gens, operator_order(len(names), args.tie), args.gb)
     nf = approx_nf(p, gb, args.n)
     text = format_poly(nf, names, gb.order)
     _emit(args, {"normal_form": text, "n": args.n}, text)
@@ -213,10 +207,7 @@ def main(argv=None):
     except ResourceLimitError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except InputError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (InputError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     return 0

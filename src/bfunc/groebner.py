@@ -112,18 +112,18 @@ def mora_div(p, divisors, order, track=True):
     return MoraResult(None, None, h)
 
 
+def _lcm_exp(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
 def spair(p, q, order, mul=op_mul):
     """S-pair: cross-multiply to the leading exponents' join and subtract."""
     (ep, cp), (eq, cq) = p.leading(order), q.leading(order)
-    join = tuple(max(a, b) for a, b in zip(ep, eq))
+    join = _lcm_exp(ep, eq)
     cls = p.__class__
     mp = cls._raw({tuple(a - b for a, b in zip(join, ep)): 1 / cp})
     mq = cls._raw({tuple(a - b for a, b in zip(join, eq)): 1 / cq})
     return mul(mp, p) - mul(mq, q)
-
-
-def _lcm_exp(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def _buchberger_loop(gens, order, reduce_fn, mul, select_key):
@@ -241,7 +241,7 @@ def buchberger_global(gens, order, mul=op_mul):
     return reduced
 
 
-def _homogenize(op, arity):
+def _homogenize(op):
     top = op.max_total_degree()
     data = {}
     for exp, coeff in op.terms.items():
@@ -250,23 +250,30 @@ def _homogenize(op, arity):
 
 
 def _dehomogenize(op):
-    data = {}
-    for exp, coeff in op.terms.items():
-        base = exp[:-1]
-        acc = data.get(base)
-        data[base] = coeff if acc is None else acc + coeff
-    return DiffOp(data)
+    return DiffOp((exp[:-1], coeff) for exp, coeff in op.terms.items())
 
 
 def groebner_lazard(gens, order):
     """Groebner basis under the local operator order via homogenization."""
     n = (order.arity - 1) // 2
     horder = homogenized_order(n, order.tie)
-    hgens = [_homogenize(g, order.arity) for g in gens if g.terms]
-    if not hgens:
-        raise InputError("all generators are zero")
+    hgens = [_homogenize(g) for g in gens if g.terms]
     hbasis = buchberger_global(hgens, horder,
                                mul=lambda a, b: op_mul(a, b, homogenized=True))
     basis = [g for g in (_dehomogenize(h) for h in hbasis) if g.terms]
     basis = [g.monic(order) for g in basis]
     return GroebnerBasis(_minimalize(basis, order), order)
+
+
+STRATEGIES = ("mora", "lazard")
+
+
+def groebner_basis(gens, order, strategy):
+    """Basis under the local operator order by the named strategy."""
+    # Looked up as module globals on each call, so rebinding them (as
+    # perfbench's tracer does) takes effect here too.
+    if strategy == "mora":
+        return buchberger_mora(gens, order)
+    if strategy == "lazard":
+        return groebner_lazard(gens, order)
+    raise InputError(f"unknown gb strategy {strategy!r}")

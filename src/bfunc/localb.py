@@ -14,34 +14,23 @@ from dataclasses import dataclass
 
 from .errors import BfuncError, InputError, ResourceLimitError
 from .groebner import (GroebnerBasis, MoraResult, buchberger_global,
-                       buchberger_mora, groebner_lazard, mora_div)
+                       groebner_basis, mora_div)
 from .linalg import nullspace
 from .opdiv import op_approx_div
 from .orders import elimination_order, operator_order
 from .rationals import Rational
-from .weyl import DiffOp, apply_to_fs, from_symbol, op_mul
-
-
-def _s_power(i, arity):
-    exp = [0] * arity
-    exp[(arity - 1) // 2] = i
-    return DiffOp.monomial(exp)
+from .weyl import DiffOp, apply_to_fs, base_arity, from_symbol, op_mul
 
 
 def _poly_in_s(coeffs, arity):
     mid = (arity - 1) // 2
-    data = {}
-    for i, c in enumerate(coeffs):
-        if c:
-            exp = [0] * arity
-            exp[mid] = i
-            data[tuple(exp)] = Rational(c)
-    return DiffOp._raw(data)
+    return DiffOp(((0,) * mid + (i,) + (0,) * mid, c)
+                  for i, c in enumerate(coeffs))
 
 
 # -- annihilator of the symbolic power ----------------------------------------
 
-def ann_fs(f, tie="grevlex", validate=True):
+def ann_fs(f, tie="grevlex"):
     """Generators of the annihilator ideal of the symbolic power of f.
 
     Works in an enlarged operator session with a graph variable t and two
@@ -52,7 +41,7 @@ def ann_fs(f, tie="grevlex", validate=True):
     each to weight zero, t^a d_t^a rewrites to (-1)^a (s+1)...(s+a), giving
     operators in x, d and s that annihilate the symbolic power.
     """
-    n = _base_arity(f)
+    n = base_arity(f)
     arity = f.arity
 
     ne = n + 3  # t, x_1..x_n, u, v
@@ -107,7 +96,7 @@ def ann_fs(f, tie="grevlex", validate=True):
             g = op_mul(DiffOp.monomial(emb((0,) * n, dt=w)), g)
         elif w < 0:
             g = op_mul(DiffOp.monomial(emb((0,) * n, t=-w)), g)
-        out.append(_shift_to_s(g, n, arity, t_slot, dt_slot, ne))
+        out.append(_shift_to_s(g, n, t_slot, dt_slot, ne))
 
     order = operator_order(n, tie)
     seen, result = [], []
@@ -117,17 +106,15 @@ def ann_fs(f, tie="grevlex", validate=True):
             if g.terms not in seen:
                 seen.append(g.terms)
                 result.append(g)
-    if validate:
-        for g in result:
-            if not apply_to_fs(g, f).is_zero():
-                raise BfuncError("annihilator candidate fails to annihilate")
+    for g in result:
+        if not apply_to_fs(g, f).is_zero():
+            raise BfuncError("annihilator candidate fails to annihilate")
     return result
 
 
-def _shift_to_s(g, n, arity, t_slot, dt_slot, ne):
+def _shift_to_s(g, n, t_slot, dt_slot, ne):
     """Rewrite a weight-zero element: t^a d_t^a -> (-1)^a (s+1)..(s+a)."""
-    mid = (arity - 1) // 2
-    out = {}
+    pairs = []
     for exp, coeff in g.terms.items():
         a = exp[t_slot]
         if exp[dt_slot] != a:
@@ -141,36 +128,10 @@ def _shift_to_s(g, n, arity, t_slot, dt_slot, ne):
                 nxt[k + 1] += c
             sprod = nxt
         sign = -1 if a % 2 else 1
+        x_part, d_part = exp[1:1 + n], exp[ne + 2:ne + 2 + n]
         for k, c in enumerate(sprod):
-            if not c:
-                continue
-            e = [0] * arity
-            for i in range(n):
-                e[i] = exp[1 + i]
-                e[mid + 1 + i] = exp[ne + 2 + i]
-            e[mid] = k
-            e = tuple(e)
-            val = coeff * (sign * c)
-            acc = out.get(e)
-            if acc is None:
-                out[e] = val
-            else:
-                acc = acc + val
-                if acc:
-                    out[e] = acc
-                else:
-                    del out[e]
-    return DiffOp._raw(out)
-
-
-def _base_arity(f):
-    if f.is_zero():
-        raise InputError("f must be nonzero")
-    n = (f.arity - 1) // 2
-    for exp in f.terms:
-        if any(exp[n:]):
-            raise InputError("f must involve only the base variables")
-    return n
+            pairs.append((x_part + (k,) + d_part, coeff * (sign * c)))
+    return DiffOp(pairs)
 
 
 # -- normal forms and the dependency search -----------------------------------
@@ -190,7 +151,7 @@ class NFTable:
 
 def nf_table(gb, top_power, bound):
     arity = gb.order.arity
-    return NFTable([approx_nf(_s_power(i, arity), gb, bound)
+    return NFTable([approx_nf(_poly_in_s((0,) * i + (1,), arity), gb, bound)
                     for i in range(top_power + 1)], bound)
 
 
@@ -222,8 +183,12 @@ def find_generator(gb, n0, nmax):
     Returns (coefficients ascending, final truncation degree, certificate).
     Searches candidate degrees upward; a degree with trivial kernel stays
     ruled out when the truncation degree grows, so after a failed
-    certification only the truncation degree is raised.
+    certification only the truncation degree is raised.  Truncation degrees
+    run from n0 up to nmax; n0 > nmax is an InputError.
     """
+    if n0 > nmax:
+        raise InputError(
+            f"starting truncation degree n0={n0} exceeds nmax={nmax}")
     order = gb.order
     arity = order.arity
     bound = n0
@@ -231,7 +196,8 @@ def find_generator(gb, n0, nmax):
     d = 0
     while True:
         while len(nfs) <= d:
-            nfs.append(approx_nf(_s_power(len(nfs), arity), gb, bound))
+            nfs.append(approx_nf(_poly_in_s((0,) * len(nfs) + (1,), arity),
+                                 gb, bound))
         kernel = dependency_kernel(nfs[: d + 1], bound)
         candidate = _candidate_from_kernel(kernel) if kernel else None
         if candidate is None:
@@ -345,7 +311,7 @@ def local_b_function(f, gb_strategy="mora", n0=None, nmax=64, tie="grevlex",
     ann_gens : optional sequence of DiffOp generating the annihilator of f^s,
         bypassing the built-in elimination (each must annihilate f^s)
     """
-    n = _base_arity(f)
+    n = base_arity(f)
     arity = f.arity
     order = operator_order(n, tie)
     if f.coeff((0,) * arity):
@@ -362,13 +328,7 @@ def local_b_function(f, gb_strategy="mora", n0=None, nmax=64, tie="grevlex",
         for g in ann:
             if not apply_to_fs(g, f).is_zero():
                 raise InputError("supplied generator does not annihilate f^s")
-    gens = ann + [from_symbol(f)]
-    if gb_strategy == "mora":
-        gb = buchberger_mora(gens, order)
-    elif gb_strategy == "lazard":
-        gb = groebner_lazard(gens, order)
-    else:
-        raise InputError(f"unknown gb strategy {gb_strategy!r}")
+    gb = groebner_basis(ann + [from_symbol(f)], order, gb_strategy)
 
     if n0 is None:
         n0 = 2 * arity

@@ -7,7 +7,7 @@ print first.
 """
 
 from .orders import operator_order
-from .rationals import Rational
+from .sympoly import SymbolPoly
 
 
 def format_rational(c):
@@ -60,22 +60,6 @@ def format_poly(p, names, order=None):
     return " ".join(out)
 
 
-def format_univariate(coeffs, var="s"):
-    """Render ascending coefficients as a polynomial in one variable."""
-    out = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = Rational(coeffs[i])
-        if not c:
-            continue
-        neg = c < 0
-        mag = -c if neg else c
-        if i == 0:
-            body = format_rational(mag)
-        else:
-            head = var if i == 1 else f"{var}^{i}"
-            body = head if mag == 1 else f"{format_rational(mag)}*{head}"
-        if not out:
-            out.append(f"-{body}" if neg else body)
-        else:
-            out.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(out) if out else "0"
+def format_univariate(coeffs):
+    """Render ascending coefficients as a polynomial in s."""
+    return format_poly(SymbolPoly(((i,), c) for i, c in enumerate(coeffs)), [])

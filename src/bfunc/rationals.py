@@ -11,9 +11,6 @@ try:
 except ImportError:  # pragma: no cover
     from fractions import Fraction as Rational
 
-ZERO = Rational(0)
-ONE = Rational(1)
-
 
 def rat(num, den=1):
     """Build a rational from integers or a 'p/q' string."""

@@ -174,7 +174,8 @@ class FsAction:
         return a == b
 
 
-def _validate_xpoly(f):
+def base_arity(f):
+    """Number n of base variables of a nonzero f in x_1..x_n only."""
     if f.is_zero():
         raise InputError("f must be nonzero")
     n = (f.arity - 1) // 2
@@ -186,16 +187,14 @@ def _validate_xpoly(f):
 
 def apply_action(op, action, f):
     """Apply an operator to an existing action on the symbolic power of f."""
-    n = _validate_xpoly(f)
+    n = base_arity(f)
     if op.is_zero():
         return FsAction(SymbolPoly.zero(), 0)
     if op.arity != f.arity:
         raise InputError("operator and f arity mismatch")
     arity = f.arity
     grads = [f.partial(i) for i in range(n)]
-    s_exp = [0] * arity
-    s_exp[n] = 1
-    s_poly = SymbolPoly.monomial(s_exp)
+    s_poly = SymbolPoly.variable(n, arity)
 
     pieces = []
     for exp, coeff in op.terms.items():
@@ -222,6 +221,6 @@ def apply_action(op, action, f):
 
 def apply_to_fs(op, f):
     """Action of an operator on the symbolic power of f, from a fresh start."""
-    _validate_xpoly(f)
+    base_arity(f)
     unit = FsAction(SymbolPoly.constant(1, f.arity), 0)
     return apply_action(op, unit, f)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -160,6 +161,17 @@ def test_find_generator_resource_limit():
     assert info.value.candidate is not None
 
 
+def test_find_generator_rejects_n0_above_nmax(monkeypatch):
+    gb = example_gb()
+
+    def no_normal_forms(*args):
+        raise AssertionError("normal form computed for an empty range")
+
+    monkeypatch.setattr("bfunc.localb.approx_nf", no_normal_forms)
+    with pytest.raises(InputError, match=r"n0=3.*nmax=2"):
+        find_generator(gb, 3, 2)
+
+
 # ---------------------------------------------------------- rational roots
 
 def test_roots_linear():
@@ -197,6 +209,19 @@ def _synthetic_div(coeffs, root):
         acc = coeffs[i] + root * acc
         out[i - 1] = acc
     return out, coeffs[0] + root * acc
+
+
+@pytest.mark.parametrize("coeffs, text", [
+    ((), "0"),
+    ((0,), "0"),
+    ((-1, 0, 2), "2*s^2 - 1"),
+    ((Fraction(1, 4), 0, -3, Fraction(5, 2), 1),
+     "s^4 + 5/2*s^3 - 3*s^2 + 1/4"),
+    ((0, 1, Fraction(-1, 3)), "-1/3*s^2 + s"),
+    ((2, -1), "-s + 2"),
+])
+def test_format_univariate(coeffs, text):
+    assert format_univariate(coeffs) == text
 
 
 def test_b_function_line():

@@ -198,6 +198,24 @@ def test_cli_gb(capsys):
     assert any(b.startswith("x") for b in basis)
 
 
+def test_cli_strategies_agree(capsys):
+    b = {}
+    for strategy in ("lazard", "mora"):
+        code, out, _ = run_cli(capsys, "gb", "x - x^2", "x^2", "--vars", "x",
+                               "--gb", strategy, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["strategy"] == strategy
+        assert payload["basis"]
+        code, out, _ = run_cli(capsys, "localb", "x^2 + y^2", "--vars", "x,y",
+                               "--gb", strategy, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["gb_strategy"] == strategy
+        b[strategy] = payload["b"]
+    assert b["lazard"] == b["mora"] == "s^2 + 2*s + 1"
+
+
 def test_cli_bad_input_exit_code(capsys):
     code, _, err = run_cli(capsys, "localb", "x + * y", "--vars", "x,y")
     assert code == 2
@@ -206,6 +224,12 @@ def test_cli_bad_input_exit_code(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "localb", "s + 1", "--vars", "s")
     assert code == 2
+    code, _, err = run_cli(capsys, "localb", "x*s + x^2", "--vars", "x")
+    assert code == 2
+    assert "error:" in err
+    code, _, err = run_cli(capsys, "localb", "x^2", "--vars", "x", "--nmax", "1")
+    assert code == 2
+    assert "nmax=1" in err
 
 
 def test_cli_resource_limit_exit_code(capsys):
@@ -220,6 +244,10 @@ def test_cli_nmax_env(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "localb", "x^2*(y + 1)^2*z^2",
                          "--vars", "x,y,z", "--n0", "1")
     assert code == 3
+    monkeypatch.setenv("BFUNC_NMAX", "abc")
+    code, _, err = run_cli(capsys, "localb", "x^2+y^3", "--vars", "x,y")
+    assert code == 2
+    assert "error:" in err and "BFUNC_NMAX" in err
     monkeypatch.delenv("BFUNC_NMAX")
     code, _, _ = run_cli(capsys, "localb", "x^2*(y + 1)^2*z^2",
                          "--vars", "x,y,z")
