@@ -258,8 +258,7 @@ def groebner_lazard(gens, order):
     n = (order.arity - 1) // 2
     horder = homogenized_order(n, order.tie)
     hgens = [_homogenize(g) for g in gens if g.terms]
-    hbasis = buchberger_global(hgens, horder,
-                               mul=lambda a, b: op_mul(a, b, homogenized=True))
+    hbasis = buchberger_global(hgens, horder)
     basis = [g for g in (_dehomogenize(h) for h in hbasis) if g.terms]
     basis = [g.monic(order) for g in basis]
     return GroebnerBasis(_minimalize(basis, order), order)
@@ -268,12 +267,16 @@ def groebner_lazard(gens, order):
 STRATEGIES = ("mora", "lazard")
 
 
+def check_strategy(strategy):
+    if strategy not in STRATEGIES:
+        raise InputError(f"unknown gb strategy {strategy!r}")
+
+
 def groebner_basis(gens, order, strategy):
     """Basis under the local operator order by the named strategy."""
+    check_strategy(strategy)
     # Looked up as module globals on each call, so rebinding them (as
     # perfbench's tracer does) takes effect here too.
     if strategy == "mora":
         return buchberger_mora(gens, order)
-    if strategy == "lazard":
-        return groebner_lazard(gens, order)
-    raise InputError(f"unknown gb strategy {strategy!r}")
+    return groebner_lazard(gens, order)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import BfuncError, InputError, ResourceLimitError
 from .groebner import (GroebnerBasis, MoraResult, buchberger_global,
-                       groebner_basis, mora_div)
+                       check_strategy, groebner_basis, mora_div)
 from .linalg import nullspace
 from .opdiv import op_approx_div
 from .orders import elimination_order, operator_order
@@ -149,10 +149,14 @@ class NFTable:
     bound: int
 
 
+def s_power_nf(gb, i, bound):
+    """Approximate normal form of s^i at truncation degree bound."""
+    return approx_nf(_poly_in_s((0,) * i + (1,), gb.order.arity), gb, bound)
+
+
 def nf_table(gb, top_power, bound):
-    arity = gb.order.arity
-    return NFTable([approx_nf(_poly_in_s((0,) * i + (1,), arity), gb, bound)
-                    for i in range(top_power + 1)], bound)
+    return NFTable([s_power_nf(gb, i, bound) for i in range(top_power + 1)],
+                   bound)
 
 
 def dependency_kernel(nfs, bound):
@@ -166,15 +170,10 @@ def dependency_kernel(nfs, bound):
     return nullspace(rows, len(truncated))
 
 
-def _candidate_from_kernel(kernel):
-    normalized = []
-    for vec in kernel:
-        if vec[-1]:
-            inv = 1 / vec[-1]
-            normalized.append(tuple(c * inv for c in vec))
-    if not normalized:
-        return None
-    return min(normalized)
+def _check_bounds(n0, nmax):
+    if n0 > nmax:
+        raise InputError(
+            f"starting truncation degree n0={n0} exceeds nmax={nmax}")
 
 
 def find_generator(gb, n0, nmax):
@@ -186,33 +185,24 @@ def find_generator(gb, n0, nmax):
     certification only the truncation degree is raised.  Truncation degrees
     run from n0 up to nmax; n0 > nmax is an InputError.
     """
-    if n0 > nmax:
-        raise InputError(
-            f"starting truncation degree n0={n0} exceeds nmax={nmax}")
-    order = gb.order
-    arity = order.arity
-    bound = n0
-    nfs = []
+    _check_bounds(n0, nmax)
     d = 0
-    while True:
-        while len(nfs) <= d:
-            nfs.append(approx_nf(_poly_in_s((0,) * len(nfs) + (1,), arity),
-                                 gb, bound))
-        kernel = dependency_kernel(nfs[: d + 1], bound)
-        candidate = _candidate_from_kernel(kernel) if kernel else None
-        if candidate is None:
+    for bound in range(n0, nmax + 1):
+        nfs = [s_power_nf(gb, i, bound) for i in range(d + 1)]
+        while not (kernel := dependency_kernel(nfs, bound)):
             d += 1
-            continue
-        cert = mora_div(_poly_in_s(candidate, arity), gb.elements, order,
-                        track=True)
+            nfs.append(s_power_nf(gb, d, bound))
+        # s^0..s^(d-1) are independent: one kernel vector, free last entry 1
+        if len(kernel) != 1 or kernel[0][-1] != 1:
+            raise BfuncError("dependency kernel is not a single monic vector")
+        candidate = tuple(kernel[0])
+        cert = mora_div(_poly_in_s(candidate, gb.order.arity), gb.elements,
+                        gb.order, track=True)
         if cert.remainder.is_zero():
             return candidate, bound, cert
-        bound += 1
-        if bound > nmax:
-            raise ResourceLimitError(
-                f"truncation degree exceeded {nmax} before certification",
-                candidate=candidate, n_used=bound - 1)
-        nfs = []
+    raise ResourceLimitError(
+        f"truncation degree exceeded {nmax} before certification",
+        candidate=candidate, n_used=nmax)
 
 
 # -- rational roots ------------------------------------------------------------
@@ -313,6 +303,10 @@ def local_b_function(f, gb_strategy="mora", n0=None, nmax=64, tie="grevlex",
     """
     n = base_arity(f)
     arity = f.arity
+    if n0 is None:
+        n0 = 2 * arity
+    check_strategy(gb_strategy)
+    _check_bounds(n0, nmax)
     order = operator_order(n, tie)
     if f.coeff((0,) * arity):
         # f is a unit in the series ring: the ideal is everything.
@@ -329,9 +323,6 @@ def local_b_function(f, gb_strategy="mora", n0=None, nmax=64, tie="grevlex",
             if not apply_to_fs(g, f).is_zero():
                 raise InputError("supplied generator does not annihilate f^s")
     gb = groebner_basis(ann + [from_symbol(f)], order, gb_strategy)
-
-    if n0 is None:
-        n0 = 2 * arity
     coeffs, n_final, cert = find_generator(gb, n0, nmax)
     roots, _ = rational_roots(coeffs)
     return BFunctionResult(tuple(coeffs), roots, n_final, cert, gb)

@@ -22,20 +22,20 @@ from .errors import InputError, ZeroLeadingTermError
 from .sympoly import SymbolPoly
 
 
-def op_mul(a, b, homogenized=False):
+def op_mul(a, b):
     """Normally ordered product of two operators given by their symbols.
 
-    With homogenized=True the exponents carry one extra trailing slot for a
-    central homogenizing variable and every commutator picks up its square,
-    keeping products of homogeneous operators homogeneous.
+    For a HomogOp left factor the last slot is a central homogenizing
+    variable h and every commutator picks up h^2, so homogeneous operators
+    have homogeneous products.
     """
     if not a.terms or not b.terms:
         return a.__class__.zero()
     length = a.arity
     if b.arity != length:
         raise InputError(f"arity mismatch: {length} vs {b.arity}")
-    n = (length - 2) // 2 if homogenized else (length - 1) // 2
-    hslot = length - 1
+    homogenized = isinstance(a, HomogOp)
+    n = (length - 1) // 2  # arity 2n+1, or 2n+2 with the homogenizing slot
     data = {}
     b_items = list(b.terms.items())
     for ea, ca in a.terms.items():
@@ -81,7 +81,7 @@ def op_mul(a, b, homogenized=False):
                         exp[i] -= nu[i]
                         exp[n + 1 + i] -= nu[i]
                 if homogenized:
-                    exp[hslot] += 2 * sum(nu)
+                    exp[-1] += 2 * sum(nu)
                 exp = tuple(exp)
                 c = cab * factor
                 acc = data.get(exp)
@@ -106,12 +106,9 @@ class DiffOp(SymbolPoly):
 
 
 class HomogOp(DiffOp):
-    """Operator in the degree-homogenized algebra (extra trailing slot)."""
+    """Operator in the degree-homogenized algebra; op_mul reads the type."""
 
     __slots__ = ()
-
-    def __mul__(self, other):
-        return op_mul(self, other, homogenized=True)
 
 
 def total_symbol(op):
@@ -187,7 +184,10 @@ def base_arity(f):
 
 def apply_action(op, action, f):
     """Apply an operator to an existing action on the symbolic power of f."""
-    n = base_arity(f)
+    return _apply(op, action, f, base_arity(f))
+
+
+def _apply(op, action, f, n):
     if op.is_zero():
         return FsAction(SymbolPoly.zero(), 0)
     if op.arity != f.arity:
@@ -221,6 +221,5 @@ def apply_action(op, action, f):
 
 def apply_to_fs(op, f):
     """Action of an operator on the symbolic power of f, from a fresh start."""
-    base_arity(f)
-    unit = FsAction(SymbolPoly.constant(1, f.arity), 0)
-    return apply_action(op, unit, f)
+    n = base_arity(f)
+    return _apply(op, FsAction(SymbolPoly.constant(1, f.arity), 0), f, n)

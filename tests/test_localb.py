@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bfunc.errors import InputError, ResourceLimitError
+from bfunc.errors import BfuncError, InputError, ResourceLimitError
 from bfunc.groebner import buchberger_mora, groebner_lazard, mora_div
 from bfunc.localb import (ann_fs, approx_nf, dependency_kernel, find_generator,
                           local_b_function, nf_table, rational_roots)
@@ -172,6 +172,20 @@ def test_find_generator_rejects_n0_above_nmax(monkeypatch):
         find_generator(gb, 3, 2)
 
 
+@pytest.mark.parametrize("last", [[rat(1), rat(2)], [rat(2)]])
+def test_find_generator_rejects_a_bad_kernel(monkeypatch, last):
+    # s^0..s^(d-1) are independent, so the kernel is one vector ending in 1;
+    # anything else is a fault, not a candidate to pick from
+    gb = example_gb()
+
+    def bad_kernel(nfs, bound):
+        return [[rat(1)] * (len(nfs) - 1) + [c] for c in last]
+
+    monkeypatch.setattr("bfunc.localb.dependency_kernel", bad_kernel)
+    with pytest.raises(BfuncError, match="kernel"):
+        find_generator(gb, 7, 8)
+
+
 # ---------------------------------------------------------- rational roots
 
 def test_roots_linear():
@@ -265,6 +279,22 @@ def test_b_function_supplied_annihilator():
     bad = [parse_op("dx", XYZ)]
     with pytest.raises(InputError):
         local_b_function(f, ann_gens=bad)
+
+
+@pytest.mark.parametrize("text", ["1 + x", "x^2"])
+@pytest.mark.parametrize("kwargs, message", [
+    ({"gb_strategy": "fast"}, "unknown gb strategy"),
+    ({"n0": 9, "nmax": 1}, r"n0=9.*nmax=1"),
+    ({"gb_strategy": "fast", "n0": 9, "nmax": 1}, "unknown gb strategy"),
+])
+def test_b_function_checks_arguments_first(monkeypatch, text, kwargs,
+                                           message):
+    def no_annihilator(*args):
+        raise AssertionError("annihilator computed for invalid arguments")
+
+    monkeypatch.setattr("bfunc.localb.ann_fs", no_annihilator)
+    with pytest.raises(InputError, match=message):
+        local_b_function(parse_poly(text, ["x"]), **kwargs)
 
 
 def test_b_function_lazard_strategy():

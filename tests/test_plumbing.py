@@ -1,0 +1,49 @@
+"""The product's algebra is chosen by the operand type, never passed in.
+
+HomogOp operands get the homogenized product from op_mul itself, so no
+library call may pass a multiplication function or a homogenized flag.
+"""
+
+import ast
+import inspect
+from pathlib import Path
+
+import bfunc
+from bfunc.weyl import op_mul
+
+SOURCES = sorted(Path(bfunc.__file__).parent.glob("*.py"))
+MUL_TAKERS = {"spair", "reduce_global", "buchberger_global"}
+
+
+def _callee(call):
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    if isinstance(func, ast.Name):
+        return func.id
+    return None
+
+
+def _plumbing(path):
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        where = f"{path.name}:{node.lineno}"
+        found += [f"{where} passes {kw.arg}=" for kw in node.keywords
+                  if kw.arg in ("mul", "homogenized")]
+        if _callee(node) in MUL_TAKERS and any(
+                isinstance(arg, ast.Lambda)
+                for arg in node.args + [kw.value for kw in node.keywords]):
+            found.append(f"{where} passes a lambda to {_callee(node)}")
+    return found
+
+
+def test_no_product_plumbing():
+    assert {"weyl.py", "groebner.py", "localb.py"} <= {p.name for p in SOURCES}
+    found = [hit for path in SOURCES for hit in _plumbing(path)]
+    assert found == []
+
+
+def test_op_mul_takes_two_operands():
+    assert str(inspect.signature(op_mul)) == "(a, b)"

@@ -6,7 +6,8 @@ from bfunc.parser import parse_op, parse_poly
 from bfunc.printing import format_poly
 from bfunc.sympoly import SymbolPoly
 from bfunc.weyl import (DiffOp, FsAction, HomogOp, apply_action, apply_to_fs,
-                        e_part, from_symbol, in_e, op_mul, ord_e, total_symbol)
+                        base_arity, e_part, from_symbol, in_e, op_mul, ord_e,
+                        total_symbol)
 
 from conftest import act_on_poly, rand_op, rand_sympoly
 
@@ -86,6 +87,17 @@ def test_homogenized_product():
     assert prod == HomogOp({(1, 0, 1, 0): 1, (0, 0, 0, 2): 1})
     # homogeneous inputs stay homogeneous
     assert len({sum(e) for e in prod.exps()}) == 1
+    # op_mul picks the homogenized product from the operand type alone
+    assert op_mul(d, x) == prod
+    # (x + dx)*(x - dx): -x*dx comes from the d-free left term and +x*dx
+    # from the commutator expansion; they must cancel, not leave a 0 entry
+    plain = op_mul(OP("x + dx"), OP("x - dx"))
+    assert plain.terms == OP("x^2 + 1 - dx^2").terms
+    ex, ed = (1, 0, 0, 0), (0, 0, 1, 0)
+    hom = op_mul(HomogOp({ex: 1, ed: 1}), HomogOp({ex: 1, ed: -1}))
+    assert hom.terms == {(2, 0, 0, 0): 1, (0, 0, 0, 2): 1, (0, 0, 2, 0): -1}
+    for p in (plain, hom):
+        assert all(p.terms.values())
 
 
 def test_op_mul_arity_mismatch():
@@ -217,7 +229,22 @@ def test_action_linear_and_multiplicative():
 
 
 def test_apply_to_fs_validation():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="f must be nonzero"):
         apply_to_fs(OP("dx"), SymbolPoly.zero())
     with pytest.raises(InputError):
         apply_to_fs(OP("dx"), parse_poly("s", X))
+
+
+def test_apply_to_fs_checks_f_once(monkeypatch):
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return base_arity(f)
+
+    monkeypatch.setattr("bfunc.weyl.base_arity", counting)
+    f = F()
+    assert apply_to_fs(OP("-2*s + z*dz", ["x", "y", "z"]), f).is_zero()
+    assert len(calls) == 1
+    apply_action(OP("dx", ["x", "y", "z"]), FsAction(f, 0), f)
+    assert len(calls) == 2
