@@ -14,10 +14,15 @@ well-order:
   runs ordinary Buchberger under the degree-first well-order (commutators
   pick up the square of the homogenizing variable), and dehomogenizes.
 
-Buchberger's coprimality shortcut is unsound for operator products and is
-never used; only the chain criterion prunes pairs.
+Both share one Buchberger loop.  It pops S-pairs in ascending (key, i, j)
+order from a heap queue, where key is the selection key of the pair's
+leading-exponent join, computed once when the pair is added (Gebauer and
+Moeller's selection bookkeeping, without their criteria).  Buchberger's
+coprimality shortcut is unsound for operator products and is never used; only
+the chain criterion prunes pairs.
 """
 
+import heapq
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -136,13 +141,20 @@ def _buchberger_loop(gens, order, reduce_fn, mul, select_key):
         raise InputError("all generators are zero")
     leads = [g.le(order) for g in basis]
 
-    pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
+    # (select_key(lcm), i, j, lcm) per open pair; (key, i, j) is unique, so
+    # the heap never compares two lcms and pops in (key, i, j) order.
+    queue = []
+
+    def add_pairs(j):
+        for i in range(j):
+            lcm = _lcm_exp(leads[i], leads[j])
+            heapq.heappush(queue, (select_key(lcm), i, j, lcm))
+
+    for j in range(len(basis)):
+        add_pairs(j)
     done = set()
-    while pairs:
-        pair = min(pairs, key=lambda ij: (select_key(_lcm_exp(leads[ij[0]], leads[ij[1]])),) + ij)
-        pairs.discard(pair)
-        i, j = pair
-        lcm_ij = _lcm_exp(leads[i], leads[j])
+    while queue:
+        _, i, j, lcm_ij = heapq.heappop(queue)
         # chain criterion: some k already paired off against both i and j
         # inside the join.
         skip = False
@@ -154,7 +166,7 @@ def _buchberger_loop(gens, order, reduce_fn, mul, select_key):
             if a in done and b in done:
                 skip = True
                 break
-        done.add(pair)
+        done.add((i, j))
         if skip:
             continue
         s = spair(basis[i], basis[j], order, mul)
@@ -166,8 +178,7 @@ def _buchberger_loop(gens, order, reduce_fn, mul, select_key):
         r = r.monic(order)
         basis.append(r)
         leads.append(r.le(order))
-        t = len(basis) - 1
-        pairs.update((i2, t) for i2 in range(t))
+        add_pairs(len(basis) - 1)
     return basis
 
 
@@ -206,10 +217,15 @@ def reduce_global(p, divisors, order, mul=op_mul):
     leads = [g.leading(order) for g in divisors]
     cls = p.__class__
     remainder = {}
+    # exp -> order.key(exp) for every exponent h has held in this call, so
+    # each step keys only the terms the last subtraction brought in.
+    keys = {}
     h = p
     while h.terms:
-        h_lead = h.leading(order)
-        he = h_lead[0]
+        for e in h.terms.keys() - keys.keys():
+            keys[e] = order.key(e)
+        he = max(h.terms, key=keys.__getitem__)
+        h_lead = (he, h.terms[he])
         hit = None
         for i, (eg, _) in enumerate(leads):
             if _divides(eg, he):

@@ -307,6 +307,11 @@ def local_b_function(f, gb_strategy="mora", n0=None, nmax=64, tie="grevlex",
         n0 = 2 * arity
     check_strategy(gb_strategy)
     _check_bounds(n0, nmax)
+    if ann_gens is not None:
+        ann_gens = list(ann_gens)
+        for g in ann_gens:
+            if not apply_to_fs(g, f).is_zero():
+                raise InputError("supplied generator does not annihilate f^s")
     order = operator_order(n, tie)
     if f.coeff((0,) * arity):
         # f is a unit in the series ring: the ideal is everything.
@@ -315,13 +320,7 @@ def local_b_function(f, gb_strategy="mora", n0=None, nmax=64, tie="grevlex",
         return BFunctionResult((Rational(1),), [], 0, cert,
                                GroebnerBasis([one], order))
 
-    if ann_gens is None:
-        ann = ann_fs(f, tie)
-    else:
-        ann = list(ann_gens)
-        for g in ann:
-            if not apply_to_fs(g, f).is_zero():
-                raise InputError("supplied generator does not annihilate f^s")
+    ann = ann_fs(f, tie) if ann_gens is None else ann_gens
     gb = groebner_basis(ann + [from_symbol(f)], order, gb_strategy)
     coeffs, n_final, cert = find_generator(gb, n0, nmax)
     roots, _ = rational_roots(coeffs)

@@ -8,6 +8,7 @@ lexicographic on the row values with the term order breaking remaining ties,
 so two exponents compare equal only when they are identical.
 """
 
+import operator
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -24,7 +25,7 @@ def _grlex_key(a):
 def _grevlex_key(a):
     # Higher total degree wins; ties go to the exponent whose rightmost
     # differing entry is smaller.
-    return (sum(a), tuple(-v for v in reversed(a)))
+    return (sum(a), tuple(map(operator.neg, reversed(a))))
 
 
 TIE_ORDERS = {
@@ -54,7 +55,7 @@ class MatrixOrder:
         if len(exp) != self.arity:
             raise InputError(
                 f"exponent arity {len(exp)} does not match order arity {self.arity}")
-        weights = tuple(sum(r * e for r, e in zip(row, exp)) for row in self.rows)
+        weights = tuple([sum(map(operator.mul, row, exp)) for row in self.rows])
         return weights + TIE_ORDERS[self.tie](exp)
 
     def compare(self, a, b):

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
+from bfunc import groebner
 from bfunc.errors import InputError
-from bfunc.groebner import (buchberger_mora, ecart, groebner_lazard,
-                            mora_div, spair)
+from bfunc.groebner import (_homogenize, buchberger_global, buchberger_mora,
+                            ecart, groebner_lazard, mora_div, spair)
 from bfunc.localb import ann_fs
-from bfunc.orders import operator_order
+from bfunc.orders import homogenized_order, operator_order
 from bfunc.parser import parse_op, parse_poly
 from bfunc.rationals import rat
 from bfunc.weyl import DiffOp, from_symbol, op_mul, ord_e
@@ -218,6 +219,68 @@ def test_strategy_agreement():
             assert mora_div(g, gm.elements, order).remainder.is_zero()
         for g in gm.elements:
             assert mora_div(g, gl.elements, order).remainder.is_zero()
+
+
+def rescan_buchberger_loop(gens, order, reduce_fn, mul, select_key):
+    """Reference pair selection: rescan every open pair for the least
+    (select_key(lcm), i, j), as the loop did before it kept a queue."""
+    basis = [g.monic(order) for g in gens if g.terms]
+    if not basis:
+        raise InputError("all generators are zero")
+    leads = [g.le(order) for g in basis]
+
+    def lcm(i, j):
+        return tuple(max(a, b) for a, b in zip(leads[i], leads[j]))
+
+    pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
+    done = set()
+    while pairs:
+        i, j = min(pairs, key=lambda ij: (select_key(lcm(*ij)),) + ij)
+        pairs.discard((i, j))
+        join = lcm(i, j)
+        chained = any(
+            k not in (i, j) and all(a <= b for a, b in zip(leads[k], join))
+            and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
+            for k in range(len(basis)))
+        done.add((i, j))
+        if chained:
+            continue
+        s = groebner.spair(basis[i], basis[j], order, mul)
+        if not s.terms:
+            continue
+        r = reduce_fn(s, basis)
+        if not r.terms:
+            continue
+        basis.append(r.monic(order))
+        leads.append(basis[-1].le(order))
+        pairs.update((i2, len(basis) - 1) for i2 in range(len(basis) - 1))
+    return basis
+
+
+def test_pair_queue_matches_rescan(monkeypatch):
+    # Reduced bases do not depend on the pair order, so the S-pairs are
+    # recorded in the order they are formed, next to the exact element lists.
+    f = parse_poly("x^3 + y^2 + z^2", XYZ)
+    hgens = [_homogenize(g) for g in ann_fs(f) + [from_symbol(f)]]
+    ideals = corpus_ideals()
+
+    def run():
+        formed = []
+
+        def recording_spair(p, q, order, mul=op_mul):
+            formed.append((p.le(order), q.le(order)))
+            return spair(p, q, order, mul)
+
+        monkeypatch.setattr(groebner, "spair", recording_spair)
+        bases = [buchberger_global(hgens, homogenized_order(3))]
+        for gens, order in ideals:
+            bases.append(buchberger_mora(gens, order).elements)
+            bases.append(groebner_lazard(gens, order).elements)
+        return formed, [[(type(g), g.terms) for g in b] for b in bases]
+
+    got = run()
+    monkeypatch.setattr(groebner, "_buchberger_loop", rescan_buchberger_loop)
+    assert got == run()
 
 
 def test_validation():

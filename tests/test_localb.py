@@ -286,6 +286,7 @@ def test_b_function_supplied_annihilator():
     ({"gb_strategy": "fast"}, "unknown gb strategy"),
     ({"n0": 9, "nmax": 1}, r"n0=9.*nmax=1"),
     ({"gb_strategy": "fast", "n0": 9, "nmax": 1}, "unknown gb strategy"),
+    ({"ann_gens": [parse_op("dx", ["x"])]}, "does not annihilate"),
 ])
 def test_b_function_checks_arguments_first(monkeypatch, text, kwargs,
                                            message):

@@ -97,3 +97,30 @@ def test_series_order_total_degree_dominates(a, b):
     lo = series_order(3)
     if sum(a) > sum(b):
         assert lo.compare(a, b) < 0
+
+
+# The key formula as first written; _minimalize and the final basis sorts use
+# key values, not only comparisons, so the values themselves are pinned.
+WRITTEN_OUT_TIES = {
+    "lex": lambda a: a,
+    "grlex": lambda a: (sum(a), a),
+    "grevlex": lambda a: (sum(a), tuple(-v for v in reversed(a))),
+}
+
+
+def written_out_key(order, exp):
+    weights = tuple(sum(r * e for r, e in zip(row, exp)) for row in order.rows)
+    return weights + WRITTEN_OUT_TIES[order.tie](exp)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 3), st.lists(st.integers(0, 12), min_size=8, max_size=8),
+       st.sets(st.integers(0, 2), min_size=1))
+def test_key_values(n, slots, block):
+    block = sorted(i for i in block if i < n)
+    for tie in ("lex", "grlex", "grevlex"):
+        orders = [series_order(2 * n + 1, tie), operator_order(n, tie),
+                  elimination_order(n, block, tie), homogenized_order(n, tie)]
+        for order in orders:
+            exp = tuple(slots[:order.arity])
+            assert order.key(exp) == written_out_key(order, exp)
