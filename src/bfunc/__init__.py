@@ -6,7 +6,7 @@ from .groebner import (GroebnerBasis, MoraResult, buchberger_mora, ecart,
                        groebner_lazard, mora_div, spair)
 from .localb import (BFunctionResult, NFTable, ann_fs, approx_nf,
                      dependency_kernel, find_generator, local_b_function,
-                     nf_table, rational_roots)
+                     nf_table, rational_roots, verify_certificate)
 from .opdiv import OpDivisionResult, accuracy_schedule, op_approx_div
 from .orders import MatrixOrder, operator_order, series_order
 from .parser import parse_op, parse_poly
@@ -32,5 +32,5 @@ __all__ = [
     "local_b_function", "mono_div", "mora_div", "nf_table", "op_approx_div",
     "op_mul", "operator_order", "ord_e", "parse_op", "parse_poly", "rat",
     "rational_roots", "series_approx_div", "series_order", "spair",
-    "total_symbol",
+    "total_symbol", "verify_certificate",
 ]

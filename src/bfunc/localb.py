@@ -207,18 +207,6 @@ def find_generator(gb, n0, nmax):
 
 # -- rational roots ------------------------------------------------------------
 
-def _divisors(m):
-    m = abs(m)
-    out = set()
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            out.add(d)
-            out.add(m // d)
-        d += 1
-    return out
-
-
 def _eval_poly(coeffs, x):
     acc = Rational(0)
     for c in reversed(coeffs):
@@ -236,12 +224,94 @@ def _deflate(coeffs, root):
     return out
 
 
+def _divmod_poly(a, b):
+    """Quotient and remainder of ascending coefficient lists; b[-1] != 0."""
+    a, q = list(a), [Rational(0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = a[k + len(b) - 1] / b[-1]
+        for i, bc in enumerate(b):
+            a[k + i] -= c * bc
+    r = a[:len(b) - 1]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def _squarefree_ints(work):
+    """Primitive integer polynomial with the distinct roots of work."""
+    g, h = work, [i * c for i, c in enumerate(work)][1:]
+    while h:
+        g, h = h, _divmod_poly(g, h)[1]
+    sqf = _divmod_poly(work, g)[0]
+    scale = math.lcm(*(int(c.denominator) for c in sqf))
+    ints = [int(c * scale) for c in sqf]
+    content = math.gcd(*ints)
+    return [c // content for c in ints]
+
+
+def _taylor_shift(r):
+    """r(t + 1), ascending integer coefficients."""
+    r = list(r)
+    for i in range(len(r) - 1):
+        for j in range(len(r) - 2, i - 1, -1):
+            r[j] += r[j + 1]
+    return r
+
+
+def _variations(r):
+    signs = [c > 0 for c in r if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _positive_candidates(p):
+    """Candidates that include every positive rational root of p.
+
+    p is a primitive square-free integer polynomial with p(0) != 0, and
+    2^k0 exceeds its Cauchy root bound.  Descartes-rule bisection (Collins &
+    Akritas 1976): each interval 2^k0*(c, c + 1)/2^k on the stack carries a
+    polynomial r(t) whose roots in (0, 1) are the roots of p there, and the
+    sign variations of (1 + t)^d r(1/(1 + t)) bound their number, exactly
+    when 0 or 1.  An interval with one root is halved until its width times
+    the leading coefficient a is below 1: a rational root is y/a for an
+    integer y, and a*(lo, hi) then holds at most one.  An exact midpoint
+    root is returned as found and divided out of both halves.
+    """
+    a = abs(p[-1])
+    k0 = (-(-max(map(abs, p)) // a)).bit_length()
+    found = []
+    stack = [([c << (k0 * i) for i, c in enumerate(p)], 0, 0)]
+    while stack:
+        r, c, k = stack.pop()
+        v = _variations(_taylor_shift(r[::-1]))
+        if v == 0:
+            continue
+        if v == 1 and a << k0 < 1 << k:
+            y = (a * c << k0 >> k) + 1
+            if y << k < a * (c + 1) << k0:
+                found.append(Rational(y, a))
+            continue
+        d = len(r) - 1
+        left = [ci << (d - i) for i, ci in enumerate(r)]  # 2^d r(t/2)
+        right = _taylor_shift(left)
+        if not right[0]:  # the midpoint is a root
+            found.append(Rational((2 * c + 1) << k0, 1 << (k + 1)))
+            left, right = _deflate(left, 1), right[1:]
+        stack.append((left, 2 * c, k + 1))
+        stack.append((right, 2 * c + 1, k + 1))
+    return found
+
+
 def rational_roots(coeffs):
     """All rational roots with multiplicity, plus the unfactored cofactor.
 
-    coeffs are ascending and the polynomial must be monic.  Candidates come
-    from the divisors of the integer-scaled extreme coefficients; each hit is
-    deflated out exactly and retested for multiplicity.
+    coeffs are ascending and the polynomial must be monic.  No integer is
+    factored: zero roots are stripped, the square-free part is scaled to a
+    primitive integer polynomial, and its positive and negative real roots
+    are isolated exactly by Descartes-rule bisection, each isolating
+    interval narrowed until it holds at most one rational candidate (see
+    _positive_candidates).  Each candidate that is a root is deflated out
+    exactly and retested for multiplicity; what stays is the irrational
+    cofactor.
     """
     work = [Rational(c) for c in coeffs]
     if not work or work[-1] != 1:
@@ -251,14 +321,10 @@ def rational_roots(coeffs):
         roots.append(Rational(0))
         work = work[1:]
     if len(work) > 1:
-        scale = math.lcm(*(int(c.denominator) for c in work))
-        ints = [int(c * scale) for c in work]
-        cands = set()
-        for p in _divisors(ints[0]):
-            for q in _divisors(ints[-1]):
-                g = math.gcd(p, q)
-                cands.add(Rational(p // g, q // g))
-                cands.add(Rational(-(p // g), q // g))
+        p = _squarefree_ints(work)
+        mirrored = [c if i % 2 == 0 else -c for i, c in enumerate(p)]
+        cands = _positive_candidates(p) + [
+            -x for x in _positive_candidates(mirrored)]
         for cand in sorted(cands):
             while len(work) > 1 and _eval_poly(work, cand) == 0:
                 roots.append(cand)
@@ -300,6 +366,9 @@ def local_b_function(f, gb_strategy="mora", n0=None, nmax=64, tie="grevlex",
     tie : tie-breaking term order name
     ann_gens : optional sequence of DiffOp generating the annihilator of f^s,
         bypassing the built-in elimination (each must annihilate f^s)
+
+    For a non-unit f, a b(s) that breaks a theorem every local b-function
+    obeys (see _check_roots) raises BfuncError.
     """
     n = base_arity(f)
     arity = f.arity
@@ -323,5 +392,48 @@ def local_b_function(f, gb_strategy="mora", n0=None, nmax=64, tie="grevlex",
     ann = ann_fs(f, tie) if ann_gens is None else ann_gens
     gb = groebner_basis(ann + [from_symbol(f)], order, gb_strategy)
     coeffs, n_final, cert = find_generator(gb, n0, nmax)
-    roots, _ = rational_roots(coeffs)
+    roots, cofactor = rational_roots(coeffs)
+    _check_roots(roots, cofactor, n)
     return BFunctionResult(tuple(coeffs), roots, n_final, cert, gb)
+
+
+def _check_roots(roots, cofactor, n):
+    """Theorems every local b-function of a non-unit f obeys.
+
+    Its roots are rational (Kashiwara), -1 is one of them, and every root
+    of b(s)/(s+1) lies in (-n, 0) (M. Saito 1994).
+    """
+    if cofactor != (1,):
+        raise BfuncError("b(s) has roots that are not rational")
+    rest = dict(roots)
+    if not rest.get(-1):
+        raise BfuncError("-1 is not a root of b(s)")
+    rest[-1] -= 1
+    if any(m and not -n < r < 0 for r, m in rest.items()):
+        raise BfuncError(f"a root of b(s)/(s+1) lies outside (-{n}, 0)")
+
+
+def verify_certificate(result):
+    """Recompute the certificate of a BFunctionResult exactly.
+
+    Checks that unit * b(s) - sum(q_i * g_i) - r is zero, with one quotient
+    per basis element, that r is zero, and that the unit is a unit of the
+    series ring: free of s and d, with a nonzero constant term.  Raises
+    BfuncError naming the failed check.
+    """
+    cert, gb = result.certificate, result.gb
+    arity = gb.order.arity
+    n = (arity - 1) // 2
+    if any(any(e[n:]) for e in cert.unit.terms):
+        raise BfuncError("certificate unit involves s or d")
+    if not cert.unit.coeff((0,) * arity):
+        raise BfuncError("certificate unit has a zero constant term")
+    if len(cert.quotients) != len(gb.elements):
+        raise BfuncError("certificate quotients do not match the basis")
+    if not cert.remainder.is_zero():
+        raise BfuncError("certificate remainder is nonzero")
+    residual = op_mul(cert.unit, _poly_in_s(result.b, arity)) - cert.remainder
+    for q, g in zip(cert.quotients, gb.elements):
+        residual = residual - op_mul(q, g)
+    if not residual.is_zero():
+        raise BfuncError("certificate relation unit*b = sum q_i*g_i + r fails")

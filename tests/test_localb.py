@@ -1,12 +1,17 @@
+import dataclasses
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bfunc.errors import BfuncError, InputError, ResourceLimitError
-from bfunc.groebner import buchberger_mora, groebner_lazard, mora_div
+from bfunc.groebner import (MoraResult, buchberger_mora, groebner_lazard,
+                            mora_div)
 from bfunc.localb import (ann_fs, approx_nf, dependency_kernel, find_generator,
-                          local_b_function, nf_table, rational_roots)
+                          local_b_function, nf_table, rational_roots,
+                          verify_certificate)
 from bfunc.orders import operator_order
 from bfunc.parser import parse_op, parse_poly
 from bfunc.printing import format_poly, format_univariate
@@ -213,6 +218,97 @@ def test_roots_zero_root():
     assert roots == [(rat(0), 2)]
 
 
+def _trial_division_roots(coeffs):
+    """The former rational_roots: tries every p/q with p | b(0), q | lead."""
+    def divisors(m):
+        m, out, d = abs(m), set(), 1
+        while d * d <= m:
+            if m % d == 0:
+                out.update((d, m // d))
+            d += 1
+        return out
+
+    def value(x):
+        acc = Fraction(0)
+        for c in reversed(work):
+            acc = acc * x + c
+        return acc
+
+    work = [Fraction(c) for c in coeffs]
+    roots = []
+    while len(work) > 1 and not work[0]:
+        roots.append(Fraction(0))
+        work = work[1:]
+    if len(work) > 1:
+        scale = math.lcm(*(c.denominator for c in work))
+        ints = [int(c * scale) for c in work]
+        cands = {sign * Fraction(p, q) for p in divisors(ints[0])
+                 for q in divisors(ints[-1]) for sign in (1, -1)}
+        for cand in sorted(cands):
+            while len(work) > 1 and value(cand) == 0:
+                roots.append(cand)
+                work, _ = _synthetic_div(work, cand)
+    return ([(r, roots.count(r)) for r in sorted(set(roots))], tuple(work))
+
+
+def _expand(*factors):
+    """Product of ascending coefficient lists."""
+    out = [Fraction(1)]
+    for f in factors:
+        prod = [Fraction(0)] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+# small enough that the trial-division oracle stays fast
+small = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+half = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.tuples(small, st.integers(1, 2)), max_size=3),
+       st.lists(st.tuples(half, half), max_size=2))
+def test_roots_match_trial_division(linear, quadratics):
+    coeffs = _expand(*[[-r, 1] for r, m in linear for _ in range(m)],
+                     *[[c, b, 1] for b, c in quadratics])
+    assert rational_roots(coeffs) == _trial_division_roots(coeffs)
+
+
+@pytest.mark.parametrize("roots", [
+    # the midpoint of an early bisection is the root -1 itself
+    [-1, Fraction(-5, 6), Fraction(-7, 6)],
+    [Fraction(-1, 2), Fraction(-3, 4)],
+    [Fraction(-1, 97), Fraction(-96, 97)],
+    [-1000, Fraction(-1, 1000)],
+    # stopping at a*width < 2 would miss -5/7: its last interval holds two
+    # integer candidates y for y/a
+    [-3, Fraction(-5, 7)],
+    [0, 0, 0, -1],
+    [Fraction(-1, 2), Fraction(-1, 2), Fraction(1, 3), 5],
+])
+def test_roots_explicit(roots):
+    coeffs = _expand(*[[-r, 1] for r in roots])
+    want = [(r, roots.count(r)) for r in sorted(set(roots))]
+    assert rational_roots(coeffs) == (want, (1,))
+    assert rational_roots(coeffs) == _trial_division_roots(coeffs)
+
+
+def test_roots_degree_zero_and_int_input():
+    assert rational_roots((1,)) == ([], (1,))
+    # (s + 1)(s + 2) with plain int coefficients
+    roots, cofactor = rational_roots((2, 3, 1))
+    assert roots == [(-2, 1), (-1, 1)] and cofactor == (1,)
+
+
+@pytest.mark.parametrize("coeffs", [(1, 2), (), (0,), (1, 1, 0)])
+def test_roots_reject_non_monic(coeffs):
+    with pytest.raises(InputError, match="monic"):
+        rational_roots(coeffs)
+
+
 # ------------------------------------------------------------------ b twice
 
 def _synthetic_div(coeffs, root):
@@ -304,3 +400,54 @@ def test_b_function_lazard_strategy():
         local_b_function(f, gb_strategy="mora").b
     with pytest.raises(InputError):
         local_b_function(f, gb_strategy="fast")
+
+
+# ------------------------------------------------------- theorems and checks
+
+@pytest.mark.parametrize("bogus, message", [
+    ((2, 3, 1), r"outside \(-1, 0\)"),   # (s + 2)(s + 1)
+    ((1, 0, 1), "not rational"),          # s^2 + 1
+    ((Fraction(1, 2), 1), "-1 is not a root"),
+])
+def test_b_function_asserts_root_theorems(monkeypatch, bogus, message):
+    # a certified-looking candidate that no local b-function can be
+    def certified(gb, n0, nmax):
+        return bogus, n0, MoraResult(None, [], DiffOp.zero())
+
+    monkeypatch.setattr("bfunc.localb.find_generator", certified)
+    with pytest.raises(BfuncError, match=message):
+        local_b_function(parse_poly("x^2", ["x"]))
+
+
+@pytest.mark.parametrize("strategy", ["mora", "lazard"])
+def test_verify_certificate(strategy):
+    res = local_b_function(parse_poly("x^2 + y^3", ["x", "y"]),
+                           gb_strategy=strategy)
+    verify_certificate(res)
+    verify_certificate(local_b_function(parse_poly("1 + x", ["x"])))
+
+    cert, arity = res.certificate, res.gb.order.arity
+    one = DiffOp.constant(1, arity)
+    dx = DiffOp.monomial((0, 0, 0, 1, 0))
+    tampered = [
+        (dataclasses.replace(cert, quotients=[cert.quotients[0] + one]
+                             + cert.quotients[1:]), "relation"),
+        (dataclasses.replace(cert, unit=cert.unit + dx), "s or d"),
+        (dataclasses.replace(cert, unit=cert.unit - DiffOp.constant(
+            cert.unit.coeff((0,) * arity), arity)), "zero constant term"),
+    ]
+    for bad, message in tampered:
+        with pytest.raises(BfuncError, match=message):
+            verify_certificate(dataclasses.replace(res, certificate=bad))
+
+
+@pytest.mark.parametrize("a, b", [(4, 5), (3, 7)])
+def test_b_function_brieskorn_pham_curves(a, b):
+    # b(s) of x^a + y^b: (s + 1) times s + i/a + j/b over distinct values
+    values = {Fraction(i, a) + Fraction(j, b)
+              for i in range(1, a) for j in range(1, b)}
+    want = _expand([1, 1], *[[v, 1] for v in values])
+    res = local_b_function(parse_poly(f"x^{a} + y^{b}", ["x", "y"]))
+    assert list(res.b) == want
+    assert res.roots == sorted([(-v, 1) for v in values | {1}])
+    verify_certificate(res)
