@@ -86,10 +86,18 @@ def mora_div(p, divisors, order, track=True):
             raise InputError("zero divisor")
         pool.append((g.leading(order), ecart(g, order), g, i))
 
+    # exp -> order.key(exp) and exp -> total degree for every exponent h has
+    # held in this call, so each step keys only the terms the last
+    # subtraction brought in.
+    keys, degs = {}, {}
     h = p
     while h.terms:
-        h_lead = h.leading(order)
-        he = h_lead[0]
+        for e in h.terms:
+            if e not in keys:
+                keys[e] = order.key(e)
+                degs[e] = sum(e)
+        he = max(h.terms, key=keys.__getitem__)
+        h_lead = (he, h.terms[he])
         best = None
         for entry in pool:
             if _divides(entry[0][0], he):
@@ -97,7 +105,7 @@ def mora_div(p, divisors, order, track=True):
                     best = entry
         if best is None:
             break
-        h_ecart = h.max_total_degree() - sum(he)
+        h_ecart = max(map(degs.__getitem__, h.terms)) - degs[he]
         if best[1] > h_ecart:
             snapshot = (unit, list(quots), h) if track else (None, None, h)
             pool.append((h_lead, h_ecart, h, snapshot))
@@ -222,8 +230,9 @@ def reduce_global(p, divisors, order, mul=op_mul):
     keys = {}
     h = p
     while h.terms:
-        for e in h.terms.keys() - keys.keys():
-            keys[e] = order.key(e)
+        for e in h.terms:
+            if e not in keys:
+                keys[e] = order.key(e)
         he = max(h.terms, key=keys.__getitem__)
         h_lead = (he, h.terms[he])
         hit = None

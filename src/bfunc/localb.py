@@ -3,12 +3,15 @@
 The pipeline: compute annihilator generators of the symbolic power f^s by
 elimination, adjoin f, take a Groebner basis under the operator division
 order, then search for the minimal monic polynomial b(s) in the ideal.  The
-search computes approximate normal forms of the powers of s, looks for an
+search computes approximate normal forms of the powers of s, each chained
+from the one before (NF(s^(i+1)) is the normal form of s * NF(s^i), see
+s_power_nfs) and exact only below the truncation degree, looks for an
 exact rational dependency among their truncations, and certifies each
 candidate by Mora division; failed certifications raise the truncation
-degree and try again.
+degree and chain the normal forms afresh.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -143,20 +146,38 @@ def approx_nf(p, gb, bound):
 
 @dataclass(frozen=True)
 class NFTable:
-    """Normal forms of 1, s, s^2, ... at a common truncation degree."""
+    """Normal forms of 1, s, s^2, ... at a common truncation degree.
+
+    They come from s_power_nfs, so each is chained from the one before and
+    exact only below bound: compare them after truncate(bound).
+    """
 
     nfs: list
     bound: int
 
 
-def s_power_nf(gb, i, bound):
-    """Approximate normal form of s^i at truncation degree bound."""
-    return approx_nf(_poly_in_s((0,) * i + (1,), gb.order.arity), gb, bound)
+def s_power_nfs(gb, bound):
+    """Approximate normal forms of 1, s, s^2, ... at truncation degree bound.
+
+    Chained: NF(1) = approx_nf(1) and NF(s^(i+1)) = approx_nf(s * NF(s^i)).
+    Division leaves an exact identity s^i = sum(q_j g_j) + NF(s^i), and s is
+    central, so s * NF(s^i) lies in the coset of s^(i+1); below bound the
+    remainder of any member of a coset is the same.  Only the part below
+    bound is exact.  Multiplying by s shifts the s slot of each exponent.
+    """
+    arity = gb.order.arity
+    mid = (arity - 1) // 2
+    nf = approx_nf(DiffOp.constant(1, arity), gb, bound)
+    while True:
+        yield nf
+        shifted = DiffOp._raw({e[:mid] + (e[mid] + 1,) + e[mid + 1:]: c
+                               for e, c in nf.terms.items()})
+        nf = approx_nf(shifted, gb, bound)
 
 
 def nf_table(gb, top_power, bound):
-    return NFTable([s_power_nf(gb, i, bound) for i in range(top_power + 1)],
-                   bound)
+    return NFTable(list(itertools.islice(s_power_nfs(gb, bound),
+                                         top_power + 1)), bound)
 
 
 def dependency_kernel(nfs, bound):
@@ -182,16 +203,19 @@ def find_generator(gb, n0, nmax):
     Returns (coefficients ascending, final truncation degree, certificate).
     Searches candidate degrees upward; a degree with trivial kernel stays
     ruled out when the truncation degree grows, so after a failed
-    certification only the truncation degree is raised.  Truncation degrees
-    run from n0 up to nmax; n0 > nmax is an InputError.
+    certification only the truncation degree is raised and the normal forms
+    are chained afresh at the new degree (s_power_nfs): they are exact only
+    below it, and one more is pulled each time the kernel is empty.
+    Truncation degrees run from n0 up to nmax; n0 > nmax is an InputError.
     """
     _check_bounds(n0, nmax)
     d = 0
     for bound in range(n0, nmax + 1):
-        nfs = [s_power_nf(gb, i, bound) for i in range(d + 1)]
+        powers = s_power_nfs(gb, bound)
+        nfs = list(itertools.islice(powers, d + 1))
         while not (kernel := dependency_kernel(nfs, bound)):
             d += 1
-            nfs.append(s_power_nf(gb, d, bound))
+            nfs.append(next(powers))
         # s^0..s^(d-1) are independent: one kernel vector, free last entry 1
         if len(kernel) != 1 or kernel[0][-1] != 1:
             raise BfuncError("dependency kernel is not a single monic vector")
@@ -263,6 +287,27 @@ def _variations(r):
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
+def _zero_between(sign, lo, hi):
+    """The integer y in [lo, hi] with sign(y) == 0, or None.
+
+    sign changes at most once over [lo, hi], so bisection keeps it nonzero
+    and different at the two ends until they meet or a zero turns up.
+    """
+    if lo > hi:
+        return None
+    s_lo, s_hi = sign(lo), sign(hi)
+    while s_lo and s_hi:
+        if s_lo == s_hi or hi - lo < 2:
+            return None
+        mid = (lo + hi) // 2
+        s_mid = sign(mid)
+        if s_mid == s_lo:
+            lo = mid
+        else:
+            hi, s_hi = mid, s_mid
+    return hi if s_lo else lo
+
+
 def _positive_candidates(p):
     """Candidates that include every positive rational root of p.
 
@@ -271,12 +316,22 @@ def _positive_candidates(p):
     Akritas 1976): each interval 2^k0*(c, c + 1)/2^k on the stack carries a
     polynomial r(t) whose roots in (0, 1) are the roots of p there, and the
     sign variations of (1 + t)^d r(1/(1 + t)) bound their number, exactly
-    when 0 or 1.  An interval with one root is halved until its width times
-    the leading coefficient a is below 1: a rational root is y/a for an
-    integer y, and a*(lo, hi) then holds at most one.  An exact midpoint
-    root is returned as found and divided out of both halves.
+    when 0 or 1.  An exact midpoint root is returned as found and divided
+    out of both halves.  An interval (lo, hi) with one root holds a simple
+    root of p, across which p changes sign; a rational root is y/a for an
+    integer y, with a the leading coefficient, so bisecting over the
+    integers a*lo < y < a*hi on the sign of a^d p(y/a) finds it if it is
+    rational.
     """
     a = abs(p[-1])
+    scaled = [c * a ** (len(p) - 1 - i) for i, c in enumerate(p)]
+
+    def sign(y):  # of a^d p(y/a), by Horner in integers
+        acc = 0
+        for c in reversed(scaled):
+            acc = acc * y + c
+        return (acc > 0) - (acc < 0)
+
     k0 = (-(-max(map(abs, p)) // a)).bit_length()
     found = []
     stack = [([c << (k0 * i) for i, c in enumerate(p)], 0, 0)]
@@ -285,9 +340,10 @@ def _positive_candidates(p):
         v = _variations(_taylor_shift(r[::-1]))
         if v == 0:
             continue
-        if v == 1 and a << k0 < 1 << k:
-            y = (a * c << k0 >> k) + 1
-            if y << k < a * (c + 1) << k0:
+        if v == 1:
+            y = _zero_between(sign, (a * c << k0 >> k) + 1,
+                              -(-(a * (c + 1) << k0) >> k) - 1)
+            if y is not None:
                 found.append(Rational(y, a))
             continue
         d = len(r) - 1
@@ -307,11 +363,11 @@ def rational_roots(coeffs):
     coeffs are ascending and the polynomial must be monic.  No integer is
     factored: zero roots are stripped, the square-free part is scaled to a
     primitive integer polynomial, and its positive and negative real roots
-    are isolated exactly by Descartes-rule bisection, each isolating
-    interval narrowed until it holds at most one rational candidate (see
-    _positive_candidates).  Each candidate that is a root is deflated out
-    exactly and retested for multiplicity; what stays is the irrational
-    cofactor.
+    are isolated exactly by Descartes-rule bisection, and each isolating
+    interval is searched for its one rational candidate by bisection over
+    the integer numerators (see _positive_candidates).  Each candidate that
+    is a root is deflated out exactly and retested for multiplicity; what
+    stays is the irrational cofactor.
     """
     work = [Rational(c) for c in coeffs]
     if not work or work[-1] != 1:

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from bfunc import groebner
+from bfunc import groebner, localb
 from bfunc.errors import InputError
-from bfunc.groebner import (_homogenize, buchberger_global, buchberger_mora,
-                            ecart, groebner_lazard, mora_div, spair)
+from bfunc.groebner import (MoraResult, _homogenize, buchberger_global,
+                            buchberger_mora, ecart, groebner_lazard, mora_div,
+                            spair)
 from bfunc.localb import ann_fs
 from bfunc.orders import homogenized_order, operator_order
 from bfunc.parser import parse_op, parse_poly
@@ -288,3 +289,82 @@ def test_validation():
         buchberger_mora([], ORD1)
     with pytest.raises(InputError):
         buchberger_mora([DiffOp.zero()], ORD1)
+
+
+def rekeying_mora_div(p, divisors, order, track=True):
+    """mora_div as it was before the per-call key cache: the leading term
+    and the top total degree of h are recomputed from every term each step."""
+    divisors = list(divisors)
+    cls = p.__class__
+    if track:
+        unit = cls.constant(1, order.arity)
+        quots = [cls.zero() for _ in divisors]
+    pool = []
+    for i, g in enumerate(divisors):
+        if g.is_zero():
+            raise InputError("zero divisor")
+        pool.append((g.leading(order), ecart(g, order), g, i))
+    h = p
+    while h.terms:
+        h_lead = h.leading(order)
+        he = h_lead[0]
+        best = None
+        for entry in pool:
+            if all(a <= b for a, b in zip(entry[0][0], he)):
+                if best is None or entry[1] < best[1]:
+                    best = entry
+        if best is None:
+            break
+        h_ecart = h.max_total_degree() - sum(he)
+        if best[1] > h_ecart:
+            snapshot = (unit, list(quots), h) if track else (None, None, h)
+            pool.append((h_lead, h_ecart, h, snapshot))
+        (eh, ch), (eg, cg) = h_lead, best[0]
+        m = cls._raw({tuple(a - b for a, b in zip(eh, eg)): ch / cg})
+        h = h - op_mul(m, best[2])
+        if track:
+            prov = best[3]
+            if isinstance(prov, int):
+                quots[prov] = quots[prov] + m
+            else:
+                u_s, q_s, _ = prov
+                unit = unit - op_mul(m, u_s)
+                quots = [q - op_mul(m, qs) for q, qs in zip(quots, q_s)]
+    if track:
+        return MoraResult(unit, quots, h)
+    return MoraResult(None, None, h)
+
+
+def test_mora_div_matches_rekeying_loop(monkeypatch):
+    # Every division Buchberger's loop makes on the corpus, plus the b(s)
+    # certifications of find_generator (rejected candidates included), is
+    # recorded and replayed through both loops with and without tracking,
+    # next to random dividends whose reduction needs a unit (x - x^2).
+    rng = random.Random(47)
+    pools = [[OP("x - x^2")], [OP("(1 + x)*dx + x")],
+             [OP("dx^2 + x*dx + 1"), OP("s - x")], [OP("x*dx - s"), OP("x^2")]]
+    calls = [(rand_op(rng, 1, terms=3, max_deg=3), rng.choice(pools), ORD1,
+              True) for _ in range(40)]
+
+    def recording(p, divisors, order, track=True):
+        calls.append((p, list(divisors), order, track))
+        return mora_div(p, divisors, order, track)
+
+    monkeypatch.setattr(groebner, "mora_div", recording)
+    monkeypatch.setattr(localb, "mora_div", recording)
+    for gens, order in corpus_ideals():
+        buchberger_mora(gens, order)
+    localb.find_generator(example_gb()[0], 1, 64)
+    localb.local_b_function(parse_poly("x^2 + y^3", ["x", "y"]))
+    monkeypatch.undo()
+    assert sum(not c[3] for c in calls) > 50  # S-pairs
+    assert sum(c[3] for c in calls) >= 3      # certifications
+
+    def exact(res):
+        polys = [res.unit, res.remainder] + (res.quotients or [])
+        return [None if q is None else (type(q), q.terms) for q in polys]
+
+    for p, divisors, order, _ in calls:
+        for track in (True, False):
+            assert exact(mora_div(p, divisors, order, track)) == \
+                exact(rekeying_mora_div(p, divisors, order, track))

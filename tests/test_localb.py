@@ -118,6 +118,63 @@ def test_nf_additive_below_truncation():
         assert diff.is_zero() or diff.min_total_degree() >= 6
 
 
+def _s_power(i, arity):
+    exp = [0] * arity
+    exp[(arity - 1) // 2] = i
+    return DiffOp.monomial(tuple(exp))
+
+
+def _scratch_find_generator(gb, n0, nmax):
+    """find_generator with every s^i normalised from scratch, as before the
+    normal forms were chained."""
+    d = 0
+    for bound in range(n0, nmax + 1):
+        def nf(i):
+            return approx_nf(_s_power(i, gb.order.arity), gb, bound)
+
+        nfs = [nf(i) for i in range(d + 1)]
+        while not (kernel := dependency_kernel(nfs, bound)):
+            d += 1
+            nfs.append(nf(d))
+        candidate = tuple(kernel[0])
+        b = DiffOp.zero()
+        for i, c in enumerate(candidate):
+            b = b + _s_power(i, gb.order.arity).scale(c)
+        cert = mora_div(b, gb.elements, gb.order, track=True)
+        if cert.remainder.is_zero():
+            return candidate, bound, cert
+    raise AssertionError("no certified candidate")
+
+
+def _cert_terms(cert):
+    return [p.terms for p in [cert.unit, cert.remainder] + cert.quotients]
+
+
+def test_s_power_chain_matches_scratch():
+    bases = [(example_gb(), 1)]  # n0 = 1 rejects the candidate s first
+    results = [local_b_function(F())]
+    for text in ("x^2 + y^3", "x^3 + y^4"):
+        f = parse_poly(text, ["x", "y"])
+        gens = ann_fs(f) + [from_symbol(f)]
+        order = operator_order(2)
+        bases += [(buchberger_mora(gens, order), 6),
+                  (groebner_lazard(gens, order), 6)]
+        results += [local_b_function(f, gb_strategy=strategy)
+                    for strategy in ("mora", "lazard")]
+    for gb, n0 in bases:
+        for bound in range(7, 11):
+            chained = nf_table(gb, 6, bound).nfs
+            for i, nf in enumerate(chained):
+                scratch = approx_nf(_s_power(i, gb.order.arity), gb, bound)
+                assert nf.truncate(bound) == scratch.truncate(bound)
+        got = find_generator(gb, n0, 64)
+        want = _scratch_find_generator(gb, n0, 64)
+        assert got[:2] == want[:2]
+        assert _cert_terms(got[2]) == _cert_terms(want[2])
+    for res in results:
+        verify_certificate(res)
+
+
 # ------------------------------------------------------------------ kernel
 
 def test_kernel_rows_from_search_trace():
@@ -277,6 +334,12 @@ def test_roots_match_trial_division(linear, quadratics):
     assert rational_roots(coeffs) == _trial_division_roots(coeffs)
 
 
+def _brieskorn_pham_roots(a, b):
+    """Roots of the b(s) of x^a + y^b: -1 and the distinct -(i/a + j/b)."""
+    return sorted({Fraction(-1)} | {-Fraction(i, a) - Fraction(j, b)
+                                    for i in range(1, a) for j in range(1, b)})
+
+
 @pytest.mark.parametrize("roots", [
     # the midpoint of an early bisection is the root -1 itself
     [-1, Fraction(-5, 6), Fraction(-7, 6)],
@@ -288,12 +351,18 @@ def test_roots_match_trial_division(linear, quadratics):
     [-3, Fraction(-5, 7)],
     [0, 0, 0, -1],
     [Fraction(-1, 2), Fraction(-1, 2), Fraction(1, 3), 5],
+    # 31 and 43 roots, leading coefficients of 141 and 220 bits
+    _brieskorn_pham_roots(6, 7),
+    _brieskorn_pham_roots(7, 8),
 ])
 def test_roots_explicit(roots):
     coeffs = _expand(*[[-r, 1] for r in roots])
     want = [(r, roots.count(r)) for r in sorted(set(roots))]
     assert rational_roots(coeffs) == (want, (1,))
-    assert rational_roots(coeffs) == _trial_division_roots(coeffs)
+    # trial division enumerates the divisors of the scaled b(0), out of
+    # reach for the Brieskorn-Pham cases; the closed form checks those
+    if len(roots) < 10:
+        assert rational_roots(coeffs) == _trial_division_roots(coeffs)
 
 
 def test_roots_degree_zero_and_int_input():
