@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .orders import MatrixOrder, homogenized_order
+from .sympoly import accumulate
 from .weyl import DiffOp, HomogOp, op_mul
 
 
@@ -74,30 +75,30 @@ def mora_div(p, divisors, order, track=True):
     divisors = list(divisors)
     cls = p.__class__
     if track:
-        one = cls.constant(1, order.arity)
-        unit = one
+        unit = cls.constant(1, order.arity)
         quots = [cls.zero() for _ in divisors]
     # pool entries: (leading, ecart, op, origin)
-    # origin: divisor index, or (unit, quotients, op) snapshot for partial
-    # remainders of p itself.
+    # origin: divisor index, or the (unit, quotients) snapshot for a partial
+    # remainder of p itself (None with track=False).
     pool = []
     for i, g in enumerate(divisors):
         if g.is_zero():
             raise InputError("zero divisor")
-        pool.append((g.leading(order), ecart(g, order), g, i))
+        lead = g.leading(order)
+        pool.append((lead, g.max_total_degree() - sum(lead[0]), g, i))
 
     # exp -> order.key(exp) and exp -> total degree for every exponent h has
     # held in this call, so each step keys only the terms the last
     # subtraction brought in.
     keys, degs = {}, {}
-    h = p
-    while h.terms:
-        for e in h.terms:
+    h = dict(p.terms)
+    while h:
+        for e in h:
             if e not in keys:
                 keys[e] = order.key(e)
                 degs[e] = sum(e)
-        he = max(h.terms, key=keys.__getitem__)
-        h_lead = (he, h.terms[he])
+        he = max(h, key=keys.__getitem__)
+        h_lead = (he, h[he])
         best = None
         for entry in pool:
             if _divides(entry[0][0], he):
@@ -105,24 +106,24 @@ def mora_div(p, divisors, order, track=True):
                     best = entry
         if best is None:
             break
-        h_ecart = max(map(degs.__getitem__, h.terms)) - degs[he]
+        h_ecart = max(map(degs.__getitem__, h)) - degs[he]
         if best[1] > h_ecart:
-            snapshot = (unit, list(quots), h) if track else (None, None, h)
-            pool.append((h_lead, h_ecart, h, snapshot))
-        m = _mono_quotient(h_lead, best[0], cls)
-        g = best[2]
-        h = h - op_mul(m, g)
+            snapshot = (unit, list(quots)) if track else None
+            pool.append((h_lead, h_ecart, cls._raw(dict(h)), snapshot))
+        # m is minus the quotient term, so every update below is a sum
+        m = _mono_quotient((he, -h_lead[1]), best[0], cls)
+        accumulate(h, op_mul(m, best[2]).terms.items())
         if track:
             prov = best[3]
             if isinstance(prov, int):
-                quots[prov] = quots[prov] + m
+                quots[prov] = quots[prov] - m
             else:
-                u_s, q_s, _ = prov
-                unit = unit - op_mul(m, u_s)
-                quots = [q - op_mul(m, qs) for q, qs in zip(quots, q_s)]
+                u_s, q_s = prov
+                unit = unit + op_mul(m, u_s)
+                quots = [q + op_mul(m, qs) for q, qs in zip(quots, q_s)]
     if track:
-        return MoraResult(unit, quots, h)
-    return MoraResult(None, None, h)
+        return MoraResult(unit, quots, cls._raw(h))
+    return MoraResult(None, None, cls._raw(h))
 
 
 def _lcm_exp(a, b):
@@ -228,24 +229,19 @@ def reduce_global(p, divisors, order, mul=op_mul):
     # exp -> order.key(exp) for every exponent h has held in this call, so
     # each step keys only the terms the last subtraction brought in.
     keys = {}
-    h = p
-    while h.terms:
-        for e in h.terms:
+    h = dict(p.terms)
+    while h:
+        for e in h:
             if e not in keys:
                 keys[e] = order.key(e)
-        he = max(h.terms, key=keys.__getitem__)
-        h_lead = (he, h.terms[he])
-        hit = None
-        for i, (eg, _) in enumerate(leads):
-            if _divides(eg, he):
-                hit = i
+        he = max(h, key=keys.__getitem__)
+        for lead, g in zip(leads, divisors):
+            if _divides(lead[0], he):
+                m = _mono_quotient((he, -h[he]), lead, cls)
+                accumulate(h, mul(m, g).terms.items())
                 break
-        if hit is None:
-            remainder[he] = h_lead[1]
-            h = cls._raw({e: c for e, c in h.terms.items() if e != he})
         else:
-            m = _mono_quotient(h_lead, leads[hit], cls)
-            h = h - mul(m, divisors[hit])
+            remainder[he] = h.pop(he)
     return cls._raw(remainder)
 
 

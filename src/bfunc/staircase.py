@@ -12,6 +12,7 @@ running difference has minimum total degree above the requested bound.
 from dataclasses import dataclass
 
 from .errors import InputError
+from .sympoly import accumulate
 
 
 @dataclass(frozen=True)
@@ -103,18 +104,18 @@ def series_approx_div(f, divisors, order, bound):
     partition = build_partition([e for e, _ in leads])
 
     cls = f.__class__
-    qbars = [cls.zero() for _ in divisors]
-    rbar = cls.zero()
+    qbars = [{} for _ in divisors]
+    rbar = {}
     diff = f
     while diff.terms and diff.min_total_degree() <= bound:
         qs, r = mono_div(diff, leads, partition)
-        for i, q in enumerate(qs):
-            if q.terms:
-                qbars[i] = qbars[i] + q
-        rbar = rbar + r
-        nxt = cls.zero()
+        for qbar, q in zip(qbars, qs):
+            accumulate(qbar, q.terms.items())
+        accumulate(rbar, r.terms.items())
+        nxt = {}
         for q, rest in zip(qs, rests):
             if q.terms and rest.terms:
-                nxt = nxt + q * rest
-        diff = -nxt
-    return ApproxDivisionResult(qbars, rbar, diff, bound)
+                accumulate(nxt, (q * rest).terms.items())
+        diff = -cls._raw(nxt)
+    return ApproxDivisionResult([cls._raw(q) for q in qbars], cls._raw(rbar),
+                                diff, bound)

@@ -3,41 +3,51 @@
 A SymbolPoly maps exponent tuples to nonzero rationals.  Within one
 computation session every exponent has the same length 2n+1 and is laid out
 as (x_1..x_n, s, xi_1..xi_n); polynomials that do not involve s or the xi
-block simply keep those slots at zero.  Instances are treated as immutable:
-every operation returns a fresh object.
+block simply keep those slots at zero.  Instances are immutable: the dict of
+a SymbolPoly never changes after _raw has wrapped it.
+
+accumulate() is the one place where a term whose coefficients sum to zero is
+deleted.  Arithmetic collects its terms through it, and division loops hold
+their running sums as private dicts changed only through it, wrapped once
+they are done.
 """
 
 import math
+from operator import add
 
 from .errors import InputError, ZeroLeadingTermError
 from .rationals import Rational
+
+
+def accumulate(data, items):
+    """Add (exponent, nonzero coefficient) pairs into the dict data in place,
+    deleting every term whose coefficients sum to zero; returns data."""
+    get = data.get
+    for exp, coeff in items:
+        acc = get(exp)
+        if acc is None:
+            data[exp] = coeff
+        else:
+            acc += coeff
+            if acc:
+                data[exp] = acc
+            else:
+                del data[exp]
+    return data
 
 
 class SymbolPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        data = {}
         items = terms.items() if hasattr(terms, "items") else terms
-        for exp, coeff in items:
-            coeff = Rational(coeff)
-            if not coeff:
-                continue
-            exp = tuple(exp)
-            acc = data.get(exp)
-            if acc is None:
-                data[exp] = coeff
-            else:
-                acc = acc + coeff
-                if acc:
-                    data[exp] = acc
-                else:
-                    del data[exp]
-        self.terms = data
+        pairs = ((tuple(exp), Rational(coeff)) for exp, coeff in items)
+        self.terms = accumulate({}, ((e, c) for e, c in pairs if c))
 
     @classmethod
     def _raw(cls, data):
-        """Wrap an already-canonical dict without copying. Internal."""
+        """Wrap an already-canonical dict without copying; nothing may change
+        it afterwards. Internal."""
         obj = object.__new__(cls)
         obj.terms = data
         return obj
@@ -107,33 +117,12 @@ class SymbolPoly:
 
     def __add__(self, other):
         self._check_mix(other)
-        data = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            acc = data.get(exp)
-            if acc is None:
-                data[exp] = coeff
-            else:
-                acc = acc + coeff
-                if acc:
-                    data[exp] = acc
-                else:
-                    del data[exp]
-        return self.__class__._raw(data)
+        return self.__class__._raw(
+            accumulate(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         self._check_mix(other)
-        data = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            acc = data.get(exp)
-            if acc is None:
-                data[exp] = -coeff
-            else:
-                acc = acc - coeff
-                if acc:
-                    data[exp] = acc
-                else:
-                    del data[exp]
-        return self.__class__._raw(data)
+        return self + -other
 
     def __neg__(self):
         return self.__class__._raw({e: -c for e, c in self.terms.items()})
@@ -147,21 +136,10 @@ class SymbolPoly:
     def __mul__(self, other):
         """Commutative product. DiffOp overrides this with the operator product."""
         self._check_mix(other)
-        data = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exp = tuple(x + y for x, y in zip(ea, eb))
-                c = ca * cb
-                acc = data.get(exp)
-                if acc is None:
-                    data[exp] = c
-                else:
-                    acc = acc + c
-                    if acc:
-                        data[exp] = acc
-                    else:
-                        del data[exp]
-        return self.__class__._raw(data)
+        b_items = list(other.terms.items())
+        return self.__class__._raw(accumulate({}, (
+            (tuple(map(add, ea, eb)), ca * cb)
+            for ea, ca in self.terms.items() for eb, cb in b_items)))
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:

@@ -368,3 +368,59 @@ def test_mora_div_matches_rekeying_loop(monkeypatch):
         for track in (True, False):
             assert exact(mora_div(p, divisors, order, track)) == \
                 exact(rekeying_mora_div(p, divisors, order, track))
+
+
+def test_division_leaves_operands_unchanged(monkeypatch):
+    # The division loops subtract from private copies of their dividend, and
+    # a partial remainder joins Mora's pool as a frozen copy.  Every operand
+    # op_mul receives must keep its terms to the end of the division, and no
+    # result may share its dict with an input.
+    seen = []
+
+    def unchanged():
+        for poly, terms in seen:
+            assert poly.terms == terms
+
+    def checking_mul(a, b):
+        unchanged()
+        seen.extend((q, dict(q.terms)) for q in (a, b))
+        return op_mul(a, b)
+
+    def divide_checked(divide, p, divisors):
+        seen.clear()
+        inputs = [p] + list(divisors)
+        before = [dict(q.terms) for q in inputs]
+        res = divide(p, divisors)
+        unchanged()
+        assert [q.terms for q in inputs] == before
+        results = [res] if not isinstance(res, MoraResult) else [
+            q for q in [res.unit, res.remainder] + (res.quotients or [])
+            if q is not None]
+        for r in results:
+            assert all(r.terms is not q.terms for q in inputs)
+        return res
+
+    monkeypatch.setattr(groebner, "op_mul", checking_mul)
+    rng = random.Random(53)
+    pools = [[OP("x - x^2")], [OP("(1 + x)*dx + x")],
+             [OP("dx^2 + x*dx + 1"), OP("s - x")]]
+    dividends = [OP("x"), OP("x + x^3"), OP("dx")] + [
+        rand_op(rng, 1, terms=3, max_deg=3) for _ in range(20)]
+    for p in dividends:
+        for divisors in pools:
+            for track in (True, False):
+                res = divide_checked(
+                    lambda p, gs: mora_div(p, gs, ORD1, track), p, divisors)
+                assert res == rekeying_mora_div(p, divisors, ORD1, track)
+    # x - x^2 has the larger ecart, so x joins the pool and the second step
+    # divides by its frozen copy
+    res = mora_div(OP("x"), [OP("x - x^2")], ORD1)
+    assert res.remainder.is_zero() and res.unit != DiffOp.constant(1, 3)
+
+    horder = homogenized_order(1)
+    hbasis = buchberger_global(
+        [_homogenize(OP(t)) for t in ("x*dx - s", "x^2 + dx")], horder)
+    for _ in range(20):
+        p = _homogenize(rand_op(rng, 1, terms=3, max_deg=3))
+        divide_checked(lambda p, gs: groebner.reduce_global(
+            p, gs, horder, checking_mul), p, hbasis)

@@ -1,7 +1,9 @@
-"""The product's algebra is chosen by the operand type, never passed in.
+"""Decisions with one home in the library, guarded over its source.
 
+The product's algebra is chosen by the operand type, never passed in:
 HomogOp operands get the homogenized product from op_mul itself, so no
 library call may pass a multiplication function or a homogenized flag.
+A term whose coefficients cancel is deleted by sympoly.accumulate alone.
 """
 
 import ast
@@ -47,3 +49,27 @@ def test_no_product_plumbing():
 
 def test_op_mul_takes_two_operands():
     assert str(inspect.signature(op_mul)) == "(a, b)"
+
+
+def _term_deletions(path):
+    """Qualified names of the functions holding a `del d[...]` statement."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Delete) and any(
+                    isinstance(t, ast.Subscript) for t in child.targets):
+                found.append(".".join([path.stem] + scope))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), str(path)), [])
+    return found
+
+
+def test_cancelled_terms_deleted_in_one_place():
+    found = [hit for path in SOURCES for hit in _term_deletions(path)]
+    assert "sympoly.accumulate" in found
+    assert set(found) <= {"sympoly.accumulate", "sympoly.SymbolPoly.rest"}

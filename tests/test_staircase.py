@@ -196,12 +196,18 @@ def test_series_div_remainder_off_staircase():
 def test_series_div_identity_and_tail(fdict, bound):
     f = SymbolPoly(fdict)
     gs = [P("1 + x"), P("x^2 - x^3")]
+    before = [dict(q.terms) for q in [f] + gs]
     res = series_approx_div(f, gs, LO1, bound)
     total = res.remainder + res.tail
     for q, g in zip(res.quotients, gs):
         total = total + q * g
     assert total == f
     assert res.tail.is_zero() or res.tail.min_total_degree() > bound
+    # the running sums are private: operands keep their terms and no
+    # quotient or remainder shares a dict with them
+    assert [q.terms for q in [f] + gs] == before
+    for r in res.quotients + [res.remainder]:
+        assert all(r.terms is not q.terms for q in [f] + gs)
 
 
 @settings(deadline=None, max_examples=200)

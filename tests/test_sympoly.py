@@ -112,3 +112,39 @@ def test_lt_rest_decomposition(f):
     le = f.le(LO1)
     for exp in f.rest(LO1).exps():
         assert LO1.compare(exp, le) < 0
+
+
+def naive_terms(f, g, op):
+    """Coefficient-wise sum, difference or product over plain dicts."""
+    out = {}
+    if op == "*":
+        for ea, ca in f.terms.items():
+            for eb, cb in g.terms.items():
+                e = tuple(a + b for a, b in zip(ea, eb))
+                out[e] = out.get(e, 0) + ca * cb
+    else:
+        sign = 1 if op == "+" else -1
+        for e in set(f.terms) | set(g.terms):
+            out[e] = f.terms.get(e, 0) + sign * g.terms.get(e, 0)
+    return {e: c for e, c in out.items() if c != 0}
+
+
+# g reuses f's exponents half the time, so sums and products cancel
+@st.composite
+def poly_pairs(draw):
+    f = draw(polys)
+    if draw(st.booleans()):
+        return f, draw(polys)
+    return f, SymbolPoly({e: draw(small) for e in f.terms})
+
+
+@settings(deadline=None, max_examples=300)
+@given(poly_pairs())
+def test_arithmetic_matches_naive_dicts(pair):
+    f, g = pair
+    for op, got in (("+", f + g), ("-", f - g), ("*", f * g)):
+        assert got.terms == naive_terms(f, g, op)
+        assert all(got.terms.values())
+    assert all(f.terms.values())
+    # pairs that cancel inside one constructor call leave nothing behind
+    assert SymbolPoly(list(f.terms.items()) + list((-f).terms.items())).is_zero()

@@ -1,4 +1,8 @@
+import itertools
+import math
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bfunc.errors import InputError, ZeroLeadingTermError
 from bfunc.orders import operator_order, series_order
@@ -98,6 +102,107 @@ def test_homogenized_product():
     assert hom.terms == {(2, 0, 0, 0): 1, (0, 0, 0, 2): 1, (0, 0, 2, 0): -1}
     for p in (plain, hom):
         assert all(p.terms.values())
+
+
+def three_branch_op_mul(a, b):
+    """op_mul as it was before the Leibniz terms were collected through
+    sympoly.accumulate: separate loops for a d-free left term, for a pair
+    with no d/x overlap, and for the full Leibniz expansion."""
+    if not a.terms or not b.terms:
+        return a.__class__.zero()
+    length = a.arity
+    if b.arity != length:
+        raise InputError(f"arity mismatch: {length} vs {b.arity}")
+    homogenized = isinstance(a, HomogOp)
+    n = (length - 1) // 2
+    data = {}
+    b_items = list(b.terms.items())
+    for ea, ca in a.terms.items():
+        beta = ea[n + 1:n + 1 + n]
+        if not any(beta):
+            for eb, cb in b_items:
+                exp = tuple(x + y for x, y in zip(ea, eb))
+                c = ca * cb
+                acc = data.get(exp)
+                if acc is None:
+                    data[exp] = c
+                else:
+                    acc = acc + c
+                    if acc:
+                        data[exp] = acc
+                    else:
+                        del data[exp]
+            continue
+        for eb, cb in b_items:
+            gamma = eb[:n]
+            caps = [min(beta[i], gamma[i]) for i in range(n)]
+            cab = ca * cb
+            if not any(caps):
+                exp = tuple(x + y for x, y in zip(ea, eb))
+                acc = data.get(exp)
+                if acc is None:
+                    data[exp] = cab
+                else:
+                    acc = acc + cab
+                    if acc:
+                        data[exp] = acc
+                    else:
+                        del data[exp]
+                continue
+            for nu in itertools.product(*(range(c + 1) for c in caps)):
+                factor = 1
+                for i in range(n):
+                    if nu[i]:
+                        factor *= math.comb(beta[i], nu[i]) * math.perm(gamma[i], nu[i])
+                exp = list(x + y for x, y in zip(ea, eb))
+                for i in range(n):
+                    if nu[i]:
+                        exp[i] -= nu[i]
+                        exp[n + 1 + i] -= nu[i]
+                if homogenized:
+                    exp[-1] += 2 * sum(nu)
+                exp = tuple(exp)
+                c = cab * factor
+                acc = data.get(exp)
+                if acc is None:
+                    data[exp] = c
+                else:
+                    acc = acc + c
+                    if acc:
+                        data[exp] = acc
+                    else:
+                        del data[exp]
+    return a.__class__._raw(data)
+
+
+@st.composite
+def operator_pairs(draw):
+    """Two operators of one class and arity.  The right factor reuses the
+    left one's terms with random signs half the time, so products such as
+    (x + dx)*(x - dx) cancel between the plain and the commutator terms."""
+    cls = draw(st.sampled_from([DiffOp, HomogOp]))
+    n = draw(st.integers(1, 2))
+    arity = 2 * n + 1 + (cls is HomogOp)
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 2)] * arity),
+                            st.integers(-3, 3), max_size=4)
+    a = draw(terms)
+    b = draw(terms)
+    if draw(st.booleans()):
+        b = {e: c * draw(st.sampled_from([1, -1])) for e, c in a.items()}
+    return cls(a), cls(b)
+
+
+@settings(deadline=None, max_examples=300)
+@given(operator_pairs())
+@example((OP("x + dx"), OP("x - dx")))
+@example((HomogOp({(1, 0, 0, 0): 1, (0, 0, 1, 0): 1}),
+          HomogOp({(1, 0, 0, 0): 1, (0, 0, 1, 0): -1})))
+def test_op_mul_matches_three_branch_product(pair):
+    a, b = pair
+    got, want = op_mul(a, b), three_branch_op_mul(a, b)
+    assert type(got) is type(want) is type(a)
+    assert got.terms == want.terms
+    assert all(got.terms.values())
 
 
 def test_op_mul_arity_mismatch():
