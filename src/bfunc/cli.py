@@ -140,7 +140,8 @@ def _run_ann(args):
     names = _names(args)
     f = parse_poly(_main_expr(args), names)
     gens = ann_fs(f, args.tie)
-    rendered = [format_poly(g, names) for g in gens]
+    order = operator_order(len(names), args.tie)
+    rendered = [format_poly(g, names, order) for g in gens]
     _emit(args, {"generators": rendered}, "\n".join(rendered))
 
 

@@ -64,22 +64,21 @@ def _divides(a, b):
     return True
 
 
-def mora_div(p, divisors, order, track=True):
+def mora_div(p, divisors, order):
     """Mora division of p by the divisors under a local order.
 
     Returns a MoraResult whose remainder is either zero or has a leading
     monomial no divisor's leading monomial divides.  The remainder tail is
-    not reduced.  With track=False the unit and quotients are skipped (they
-    are None) which saves substantial work inside Buchberger's loop.
+    not reduced.  Buchberger's loop reads only the remainder; the unit and
+    quotients certify b(s) in find_generator.
     """
     divisors = list(divisors)
     cls = p.__class__
-    if track:
-        unit = cls.constant(1, order.arity)
-        quots = [cls.zero() for _ in divisors]
+    unit = cls.constant(1, order.arity)
+    quots = [cls.zero() for _ in divisors]
     # pool entries: (leading, ecart, op, origin)
     # origin: divisor index, or the (unit, quotients) snapshot for a partial
-    # remainder of p itself (None with track=False).
+    # remainder of p itself.
     pool = []
     for i, g in enumerate(divisors):
         if g.is_zero():
@@ -108,22 +107,19 @@ def mora_div(p, divisors, order, track=True):
             break
         h_ecart = max(map(degs.__getitem__, h)) - degs[he]
         if best[1] > h_ecart:
-            snapshot = (unit, list(quots)) if track else None
-            pool.append((h_lead, h_ecart, cls._raw(dict(h)), snapshot))
+            pool.append((h_lead, h_ecart, cls._raw(dict(h)),
+                         (unit, list(quots))))
         # m is minus the quotient term, so every update below is a sum
         m = _mono_quotient((he, -h_lead[1]), best[0], cls)
         accumulate(h, op_mul(m, best[2]).terms.items())
-        if track:
-            prov = best[3]
-            if isinstance(prov, int):
-                quots[prov] = quots[prov] - m
-            else:
-                u_s, q_s = prov
-                unit = unit + op_mul(m, u_s)
-                quots = [q + op_mul(m, qs) for q, qs in zip(quots, q_s)]
-    if track:
-        return MoraResult(unit, quots, cls._raw(h))
-    return MoraResult(None, None, cls._raw(h))
+        prov = best[3]
+        if isinstance(prov, int):
+            quots[prov] = quots[prov] - m
+        else:
+            u_s, q_s = prov
+            unit = unit + op_mul(m, u_s)
+            quots = [q + op_mul(m, qs) for q, qs in zip(quots, q_s)]
+    return MoraResult(unit, quots, cls._raw(h))
 
 
 def _lcm_exp(a, b):
@@ -132,12 +128,10 @@ def _lcm_exp(a, b):
 
 def spair(p, q, order, mul=op_mul):
     """S-pair: cross-multiply to the leading exponents' join and subtract."""
-    (ep, cp), (eq, cq) = p.leading(order), q.leading(order)
-    join = _lcm_exp(ep, eq)
-    cls = p.__class__
-    mp = cls._raw({tuple(a - b for a, b in zip(join, ep)): 1 / cp})
-    mq = cls._raw({tuple(a - b for a, b in zip(join, eq)): 1 / cq})
-    return mul(mp, p) - mul(mq, q)
+    lp, lq = p.leading(order), q.leading(order)
+    join = (_lcm_exp(lp[0], lq[0]), 1)
+    return (mul(_mono_quotient(join, lp, p.__class__), p)
+            - mul(_mono_quotient(join, lq, q.__class__), q))
 
 
 def _buchberger_loop(gens, order, reduce_fn, mul, select_key):
@@ -213,7 +207,7 @@ def _minimalize(basis, order):
 def buchberger_mora(gens, order):
     """Groebner basis under a local order via Mora-reduced Buchberger."""
     def reduce_fn(s, basis):
-        return mora_div(s, basis, order, track=False).remainder
+        return mora_div(s, basis, order).remainder
 
     tie_key = MatrixOrder(rows=(), tie=order.tie, arity=order.arity).key
     basis = _buchberger_loop(gens, order, reduce_fn, op_mul, tie_key)
@@ -222,7 +216,6 @@ def buchberger_mora(gens, order):
 
 def reduce_global(p, divisors, order, mul=op_mul):
     """Full normal form under a well-order: every term ends up irreducible."""
-    divisors = [g for g in divisors if g.terms]
     leads = [g.leading(order) for g in divisors]
     cls = p.__class__
     remainder = {}
@@ -251,15 +244,11 @@ def buchberger_global(gens, order, mul=op_mul):
         return reduce_global(s, basis, order, mul)
 
     basis = _buchberger_loop(gens, order, reduce_fn, mul, order.key)
+    # no lead divides another, so each element keeps its monic lead and the
+    # list keeps _minimalize's order
     basis = _minimalize(basis, order)
-    reduced = []
-    for i, g in enumerate(basis):
-        others = basis[:i] + basis[i + 1:]
-        r = reduce_global(g, others, order, mul)
-        if r.terms:
-            reduced.append(r.monic(order))
-    reduced.sort(key=lambda g: order.key(g.le(order)))
-    return reduced
+    return [reduce_global(g, basis[:i] + basis[i + 1:], order, mul)
+            for i, g in enumerate(basis)]
 
 
 def _homogenize(op):
@@ -280,8 +269,8 @@ def groebner_lazard(gens, order):
     horder = homogenized_order(n, order.tie)
     hgens = [_homogenize(g) for g in gens if g.terms]
     hbasis = buchberger_global(hgens, horder)
-    basis = [g for g in (_dehomogenize(h) for h in hbasis) if g.terms]
-    basis = [g.monic(order) for g in basis]
+    # a nonzero homogeneous element never dehomogenizes to zero
+    basis = [_dehomogenize(h).monic(order) for h in hbasis]
     return GroebnerBasis(_minimalize(basis, order), order)
 
 

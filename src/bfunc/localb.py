@@ -192,6 +192,9 @@ def dependency_kernel(nfs, bound):
 
 
 def _check_bounds(n0, nmax):
+    if n0 < 1:
+        raise InputError(
+            f"starting truncation degree n0={n0} must be at least 1")
     if n0 > nmax:
         raise InputError(
             f"starting truncation degree n0={n0} exceeds nmax={nmax}")
@@ -206,7 +209,8 @@ def find_generator(gb, n0, nmax):
     certification only the truncation degree is raised and the normal forms
     are chained afresh at the new degree (s_power_nfs): they are exact only
     below it, and one more is pulled each time the kernel is empty.
-    Truncation degrees run from n0 up to nmax; n0 > nmax is an InputError.
+    Truncation degrees run from n0 up to nmax; n0 < 1 or n0 > nmax is an
+    InputError.
     """
     _check_bounds(n0, nmax)
     d = 0
@@ -221,7 +225,7 @@ def find_generator(gb, n0, nmax):
             raise BfuncError("dependency kernel is not a single monic vector")
         candidate = tuple(kernel[0])
         cert = mora_div(_poly_in_s(candidate, gb.order.arity), gb.elements,
-                        gb.order, track=True)
+                        gb.order)
         if cert.remainder.is_zero():
             return candidate, bound, cert
     raise ResourceLimitError(

@@ -4,9 +4,9 @@ import pytest
 
 from bfunc import groebner, localb
 from bfunc.errors import InputError
-from bfunc.groebner import (MoraResult, _homogenize, buchberger_global,
-                            buchberger_mora, ecart, groebner_lazard, mora_div,
-                            spair)
+from bfunc.groebner import (MoraResult, _divides, _homogenize,
+                            buchberger_global, buchberger_mora, ecart,
+                            groebner_lazard, mora_div, spair)
 from bfunc.localb import ann_fs
 from bfunc.orders import homogenized_order, operator_order
 from bfunc.parser import parse_op, parse_poly
@@ -222,6 +222,43 @@ def test_strategy_agreement():
             assert mora_div(g, gl.elements, order).remainder.is_zero()
 
 
+def assert_reduced(basis, order):
+    """Monic, sorted by lead key, and no term divisible by another lead."""
+    leads = [g.le(order) for g in basis]
+    assert basis and all(g.lc(order) == 1 for g in basis)
+    keys = [order.key(e) for e in leads]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    for i, g in enumerate(basis):
+        for j, lead in enumerate(leads):
+            if i != j:
+                assert not any(_divides(lead, e) for e in g.terms)
+
+
+def test_buchberger_global_is_reduced(monkeypatch):
+    # homogenized corpus ideals, as groebner_lazard builds them
+    for gens, order in corpus_ideals():
+        horder = homogenized_order((order.arity - 1) // 2, order.tie)
+        hgens = [_homogenize(g) for g in gens]
+        assert_reduced(buchberger_global(hgens, horder), horder)
+
+    # the elimination bases ann_fs computes
+    seen = []
+
+    def recording(gens, order):
+        basis = buchberger_global(gens, order)
+        seen.append((basis, order))
+        return basis
+
+    monkeypatch.setattr(localb, "buchberger_global", recording)
+    for text, names, tie in [("x^2 + y^3", ["x", "y"], "grevlex"),
+                             ("x*y*(x + y)", ["x", "y"], "lex"),
+                             ("x^2*(y + 1)^2*z^2", XYZ, "grevlex")]:
+        ann_fs(parse_poly(text, names), tie)
+    assert len(seen) == 3
+    for basis, order in seen:
+        assert_reduced(basis, order)
+
+
 def rescan_buchberger_loop(gens, order, reduce_fn, mul, select_key):
     """Reference pair selection: rescan every open pair for the least
     (select_key(lcm), i, j), as the loop did before it kept a queue."""
@@ -291,14 +328,13 @@ def test_validation():
         buchberger_mora([DiffOp.zero()], ORD1)
 
 
-def rekeying_mora_div(p, divisors, order, track=True):
+def rekeying_mora_div(p, divisors, order):
     """mora_div as it was before the per-call key cache: the leading term
     and the top total degree of h are recomputed from every term each step."""
     divisors = list(divisors)
     cls = p.__class__
-    if track:
-        unit = cls.constant(1, order.arity)
-        quots = [cls.zero() for _ in divisors]
+    unit = cls.constant(1, order.arity)
+    quots = [cls.zero() for _ in divisors]
     pool = []
     for i, g in enumerate(divisors):
         if g.is_zero():
@@ -317,57 +353,56 @@ def rekeying_mora_div(p, divisors, order, track=True):
             break
         h_ecart = h.max_total_degree() - sum(he)
         if best[1] > h_ecart:
-            snapshot = (unit, list(quots), h) if track else (None, None, h)
-            pool.append((h_lead, h_ecart, h, snapshot))
+            pool.append((h_lead, h_ecart, h, (unit, list(quots))))
         (eh, ch), (eg, cg) = h_lead, best[0]
         m = cls._raw({tuple(a - b for a, b in zip(eh, eg)): ch / cg})
         h = h - op_mul(m, best[2])
-        if track:
-            prov = best[3]
-            if isinstance(prov, int):
-                quots[prov] = quots[prov] + m
-            else:
-                u_s, q_s, _ = prov
-                unit = unit - op_mul(m, u_s)
-                quots = [q - op_mul(m, qs) for q, qs in zip(quots, q_s)]
-    if track:
-        return MoraResult(unit, quots, h)
-    return MoraResult(None, None, h)
+        prov = best[3]
+        if isinstance(prov, int):
+            quots[prov] = quots[prov] + m
+        else:
+            u_s, q_s = prov
+            unit = unit - op_mul(m, u_s)
+            quots = [q - op_mul(m, qs) for q, qs in zip(quots, q_s)]
+    return MoraResult(unit, quots, h)
 
 
 def test_mora_div_matches_rekeying_loop(monkeypatch):
     # Every division Buchberger's loop makes on the corpus, plus the b(s)
     # certifications of find_generator (rejected candidates included), is
-    # recorded and replayed through both loops with and without tracking,
-    # next to random dividends whose reduction needs a unit (x - x^2).
+    # recorded and replayed through both loops, next to random dividends
+    # whose reduction needs a unit (x - x^2).  Each call is labelled by the
+    # binding it came through: groebner's serves Buchberger's loop, localb's
+    # serves find_generator's certification.
     rng = random.Random(47)
     pools = [[OP("x - x^2")], [OP("(1 + x)*dx + x")],
              [OP("dx^2 + x*dx + 1"), OP("s - x")], [OP("x*dx - s"), OP("x^2")]]
     calls = [(rand_op(rng, 1, terms=3, max_deg=3), rng.choice(pools), ORD1,
-              True) for _ in range(40)]
+              "random") for _ in range(40)]
 
-    def recording(p, divisors, order, track=True):
-        calls.append((p, list(divisors), order, track))
-        return mora_div(p, divisors, order, track)
+    def recorder(kind):
+        def recording(p, divisors, order):
+            calls.append((p, list(divisors), order, kind))
+            return mora_div(p, divisors, order)
+        return recording
 
-    monkeypatch.setattr(groebner, "mora_div", recording)
-    monkeypatch.setattr(localb, "mora_div", recording)
+    monkeypatch.setattr(groebner, "mora_div", recorder("spair"))
+    monkeypatch.setattr(localb, "mora_div", recorder("cert"))
     for gens, order in corpus_ideals():
         buchberger_mora(gens, order)
     localb.find_generator(example_gb()[0], 1, 64)
     localb.local_b_function(parse_poly("x^2 + y^3", ["x", "y"]))
     monkeypatch.undo()
-    assert sum(not c[3] for c in calls) > 50  # S-pairs
-    assert sum(c[3] for c in calls) >= 3      # certifications
+    assert sum(c[3] == "spair" for c in calls) > 50
+    assert sum(c[3] == "cert" for c in calls) >= 3
 
     def exact(res):
-        polys = [res.unit, res.remainder] + (res.quotients or [])
-        return [None if q is None else (type(q), q.terms) for q in polys]
+        return [(type(q), q.terms)
+                for q in [res.unit, res.remainder] + res.quotients]
 
     for p, divisors, order, _ in calls:
-        for track in (True, False):
-            assert exact(mora_div(p, divisors, order, track)) == \
-                exact(rekeying_mora_div(p, divisors, order, track))
+        assert exact(mora_div(p, divisors, order)) == \
+            exact(rekeying_mora_div(p, divisors, order))
 
 
 def test_division_leaves_operands_unchanged(monkeypatch):
@@ -393,9 +428,8 @@ def test_division_leaves_operands_unchanged(monkeypatch):
         res = divide(p, divisors)
         unchanged()
         assert [q.terms for q in inputs] == before
-        results = [res] if not isinstance(res, MoraResult) else [
-            q for q in [res.unit, res.remainder] + (res.quotients or [])
-            if q is not None]
+        results = [res] if not isinstance(res, MoraResult) else \
+            [res.unit, res.remainder] + res.quotients
         for r in results:
             assert all(r.terms is not q.terms for q in inputs)
         return res
@@ -408,10 +442,9 @@ def test_division_leaves_operands_unchanged(monkeypatch):
         rand_op(rng, 1, terms=3, max_deg=3) for _ in range(20)]
     for p in dividends:
         for divisors in pools:
-            for track in (True, False):
-                res = divide_checked(
-                    lambda p, gs: mora_div(p, gs, ORD1, track), p, divisors)
-                assert res == rekeying_mora_div(p, divisors, ORD1, track)
+            res = divide_checked(
+                lambda p, gs: mora_div(p, gs, ORD1), p, divisors)
+            assert res == rekeying_mora_div(p, divisors, ORD1)
     # x - x^2 has the larger ecart, so x joins the pool and the second step
     # divides by its frozen copy
     res = mora_div(OP("x"), [OP("x - x^2")], ORD1)

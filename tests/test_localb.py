@@ -140,7 +140,7 @@ def _scratch_find_generator(gb, n0, nmax):
         b = DiffOp.zero()
         for i, c in enumerate(candidate):
             b = b + _s_power(i, gb.order.arity).scale(c)
-        cert = mora_div(b, gb.elements, gb.order, track=True)
+        cert = mora_div(b, gb.elements, gb.order)
         if cert.remainder.is_zero():
             return candidate, bound, cert
     raise AssertionError("no certified candidate")
@@ -450,6 +450,7 @@ def test_b_function_supplied_annihilator():
 @pytest.mark.parametrize("kwargs, message", [
     ({"gb_strategy": "fast"}, "unknown gb strategy"),
     ({"n0": 9, "nmax": 1}, r"n0=9.*nmax=1"),
+    ({"n0": 0}, "n0=0 must be at least 1"),
     ({"gb_strategy": "fast", "n0": 9, "nmax": 1}, "unknown gb strategy"),
     ({"ann_gens": [parse_op("dx", ["x"])]}, "does not annihilate"),
 ])

@@ -5,6 +5,7 @@ import pytest
 
 from bfunc.cli import main
 from bfunc.errors import ParseError
+from bfunc.orders import operator_order
 from bfunc.parser import parse_op, parse_poly
 from bfunc.printing import format_poly
 from bfunc.rationals import rat
@@ -182,6 +183,21 @@ def test_cli_ann(capsys):
     assert any("dz" in g and "s" in g for g in gens)
 
 
+@pytest.mark.parametrize("tie", ["grevlex", "lex"])
+def test_cli_ann_prints_in_tie_order(capsys, tie):
+    code, out, _ = run_cli(capsys, "ann", "x^3 + x*y^2 + z^2",
+                           "--vars", "x,y,z", "--tie", tie)
+    assert code == 0
+    lines = out.splitlines()
+    order = operator_order(3, tie)
+    assert len(lines) == 5
+    for line in lines:
+        assert format_poly(parse_op(line, XYZ), XYZ, order) == line
+    # grevlex would print this lex basis element as -2/3*x*y*dx + x^2*dy + ...
+    if tie == "lex":
+        assert "x^2*dy - 2/3*x*y*dx + 1/3*y^2*dy" in lines
+
+
 def test_cli_nf(capsys):
     code, out, _ = run_cli(capsys, "nf", "x^2", "--ideal", "x - x^2",
                            "--n", "6", "--vars", "x")
@@ -230,6 +246,9 @@ def test_cli_bad_input_exit_code(capsys):
     code, _, err = run_cli(capsys, "localb", "x^2", "--vars", "x", "--nmax", "1")
     assert code == 2
     assert "nmax=1" in err
+    code, _, err = run_cli(capsys, "localb", "x^2", "--vars", "x", "--n0", "0")
+    assert code == 2
+    assert "n0=0 must be at least 1" in err
 
 
 def test_cli_resource_limit_exit_code(capsys):

@@ -3,6 +3,8 @@
 The product's algebra is chosen by the operand type, never passed in:
 HomogOp operands get the homogenized product from op_mul itself, so no
 library call may pass a multiplication function or a homogenized flag.
+Mora division always returns its unit and quotients, so no call may pass a
+track flag either.
 A term whose coefficients cancel is deleted by sympoly.accumulate alone.
 """
 
@@ -11,6 +13,7 @@ import inspect
 from pathlib import Path
 
 import bfunc
+from bfunc.groebner import mora_div
 from bfunc.weyl import op_mul
 
 SOURCES = sorted(Path(bfunc.__file__).parent.glob("*.py"))
@@ -33,7 +36,7 @@ def _plumbing(path):
             continue
         where = f"{path.name}:{node.lineno}"
         found += [f"{where} passes {kw.arg}=" for kw in node.keywords
-                  if kw.arg in ("mul", "homogenized")]
+                  if kw.arg in ("mul", "homogenized", "track")]
         if _callee(node) in MUL_TAKERS and any(
                 isinstance(arg, ast.Lambda)
                 for arg in node.args + [kw.value for kw in node.keywords]):
@@ -49,6 +52,10 @@ def test_no_product_plumbing():
 
 def test_op_mul_takes_two_operands():
     assert str(inspect.signature(op_mul)) == "(a, b)"
+
+
+def test_mora_div_takes_no_flags():
+    assert str(inspect.signature(mora_div)) == "(p, divisors, order)"
 
 
 def _term_deletions(path):
