@@ -450,9 +450,9 @@ def test_b_function_supplied_annihilator():
 @pytest.mark.parametrize("kwargs, message", [
     ({"gb_strategy": "fast"}, "unknown gb strategy"),
     ({"n0": 9, "nmax": 1}, r"n0=9.*nmax=1"),
-    ({"n0": 0}, "n0=0 must be at least 1"),
     ({"gb_strategy": "fast", "n0": 9, "nmax": 1}, "unknown gb strategy"),
     ({"ann_gens": [parse_op("dx", ["x"])]}, "does not annihilate"),
+    ({"n0": 0}, "n0=0 must be at least 1"),
 ])
 def test_b_function_checks_arguments_first(monkeypatch, text, kwargs,
                                            message):
