@@ -118,7 +118,8 @@ def mora_div(p, divisors, order):
         else:
             u_s, q_s = prov
             unit = unit + op_mul(m, u_s)
-            quots = [q + op_mul(m, qs) for q, qs in zip(quots, q_s)]
+            quots = [q + op_mul(m, qs) if qs.terms else q
+                     for q, qs in zip(quots, q_s)]
     return MoraResult(unit, quots, cls._raw(h))
 
 

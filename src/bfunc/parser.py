@@ -30,6 +30,9 @@ class Token:
     col: int
 
 
+DIGITS = "0123456789"
+
+
 def _tokenize(text):
     tokens = []
     line, col = 1, 0
@@ -45,9 +48,10 @@ def _tokenize(text):
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        # str.isdigit also accepts superscripts such as "²", which int() rejects
+        if ch in DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in DIGITS:
                 j += 1
             tokens.append(Token("NAT", text[i:j], line, col))
             col += j - i

@@ -4,7 +4,10 @@ A SymbolPoly maps exponent tuples to nonzero rationals.  Within one
 computation session every exponent has the same length 2n+1 and is laid out
 as (x_1..x_n, s, xi_1..xi_n); polynomials that do not involve s or the xi
 block simply keep those slots at zero.  Instances are immutable: the dict of
-a SymbolPoly never changes after _raw has wrapped it.
+a SymbolPoly never changes after _raw has wrapped it.  That is what lets
+leading() keep the last lead it found: the same order asking again of the
+same terms must get the same answer, so Buchberger's loop and the divisions
+key a basis element's terms once, not once per reduction.
 
 accumulate() is the one place where a term whose coefficients sum to zero is
 deleted.  Arithmetic collects its terms through it, and division loops hold
@@ -37,12 +40,13 @@ def accumulate(data, items):
 
 
 class SymbolPoly:
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_lead")
 
     def __init__(self, terms=()):
         items = terms.items() if hasattr(terms, "items") else terms
         pairs = ((tuple(exp), Rational(coeff)) for exp, coeff in items)
         self.terms = accumulate({}, ((e, c) for e, c in pairs if c))
+        self._lead = None
 
     @classmethod
     def _raw(cls, data):
@@ -50,6 +54,7 @@ class SymbolPoly:
         it afterwards. Internal."""
         obj = object.__new__(cls)
         obj.terms = data
+        obj._lead = None
         return obj
 
     @classmethod
@@ -183,11 +188,21 @@ class SymbolPoly:
             {e: c for e, c in self.terms.items() if sum(e) < bound})
 
     def leading(self, order):
-        """(exponent, coefficient) of the largest term under order."""
+        """(exponent, coefficient) of the largest term under order.
+
+        The answer is kept with the order object that asked for it and
+        returned as is when that same object (`is`, not ==) asks again; the
+        terms never change, so it cannot go stale.  One entry per polynomial:
+        asking under another order keys the terms again and replaces it."""
+        kept = self._lead
+        if kept is not None and kept[0] is order:
+            return kept[1]
         if not self.terms:
             raise ZeroLeadingTermError("leading term of zero is undefined")
         exp = max(self.terms, key=order.key)
-        return exp, self.terms[exp]
+        lead = exp, self.terms[exp]
+        self._lead = order, lead
+        return lead
 
     def le(self, order):
         return self.leading(order)[0]

@@ -81,6 +81,11 @@ def test_parse_bad_exponent():
         parse_poly("x^-1", ["x"])
     with pytest.raises(ParseError):
         parse_poly("x^y", ["x", "y"])
+    # superscript digits pass str.isdigit but are not NAT tokens
+    for text, col in (("x^²", 2), ("x^2 + ³", 6)):
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, ["x"])
+        assert (err.value.line, err.value.col) == (1, col)
 
 
 def test_parse_zero_denominator():
@@ -249,6 +254,10 @@ def test_cli_bad_input_exit_code(capsys):
     code, _, err = run_cli(capsys, "localb", "x^2", "--vars", "x", "--n0", "0")
     assert code == 2
     assert "n0=0 must be at least 1" in err
+    for text, col in (("x^² + y^2", 2), ("x^2 + ³", 6)):
+        code, _, err = run_cli(capsys, "localb", text, "--vars", "x,y")
+        assert code == 2
+        assert f"(line 1, column {col})" in err
 
 
 def test_cli_resource_limit_exit_code(capsys):

@@ -6,6 +6,8 @@ library call may pass a multiplication function or a homogenized flag.
 Mora division always returns its unit and quotients, so no call may pass a
 track flag either.
 A term whose coefficients cancel is deleted by sympoly.accumulate alone.
+A wrapped terms dict is never changed, which is what keeps the lead that
+SymbolPoly.leading stores valid.
 """
 
 import ast
@@ -80,3 +82,40 @@ def test_cancelled_terms_deleted_in_one_place():
     found = [hit for path in SOURCES for hit in _term_deletions(path)]
     assert "sympoly.accumulate" in found
     assert set(found) <= {"sympoly.accumulate", "sympoly.SymbolPoly.rest"}
+
+
+MUTATORS = {"pop", "popitem", "update", "clear", "setdefault"}
+
+
+def _is_terms(node):
+    return isinstance(node, ast.Attribute) and node.attr == "terms"
+
+
+def _terms_writes(source, name):
+    """Statements that change a terms dict in place, or rebind .terms outside
+    the two places in sympoly that wrap a fresh dict."""
+    found = []
+    for node in ast.walk(ast.parse(source, name)):
+        where = f"{name}:{getattr(node, 'lineno', '?')}"
+        if (isinstance(node, ast.Subscript)
+                and isinstance(node.ctx, (ast.Store, ast.Del))
+                and _is_terms(node.value)):
+            found.append(f"{where} stores through .terms[...]")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in MUTATORS and _is_terms(node.func.value)):
+            found.append(f"{where} calls .terms.{node.func.attr}()")
+        elif (_is_terms(node) and isinstance(node.ctx, ast.Store)
+              and not (name == "sympoly.py"
+                       and isinstance(node.value, ast.Name)
+                       and node.value.id in ("self", "obj"))):
+            found.append(f"{where} rebinds .terms")
+    return found
+
+
+def test_terms_never_change_in_place():
+    found = [hit for path in SOURCES
+             for hit in _terms_writes(path.read_text(), path.name)]
+    assert found == []
+    probe = ("p.terms[e] = 1\ndel q.terms[e]\np.terms[e] += 1\n"
+             "p.terms.pop(e)\np.terms.update(d)\np.terms = {}\n")
+    assert len(_terms_writes(probe, "probe.py")) == 6

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bfunc.errors import InputError, ZeroLeadingTermError
-from bfunc.orders import series_order
-from bfunc.parser import parse_poly
+from bfunc.groebner import reduce_global
+from bfunc.orders import elimination_order, operator_order, series_order
+from bfunc.parser import parse_op, parse_poly
 from bfunc.rationals import rat
 from bfunc.sympoly import SymbolPoly
 
@@ -148,3 +149,84 @@ def test_arithmetic_matches_naive_dicts(pair):
     assert all(f.terms.values())
     # pairs that cancel inside one constructor call leave nothing behind
     assert SymbolPoly(list(f.terms.items()) + list((-f).terms.items())).is_zero()
+
+
+# -- the lead kept by leading() ----------------------------------------------
+
+OP1 = operator_order(1)
+
+
+def max_lead(f, order):
+    exp = max(f.terms, key=order.key)
+    return exp, f.terms[exp]
+
+
+class KeyLog:
+    """An order that records every exponent it is asked to key."""
+
+    def __init__(self, order):
+        self.order = order
+        self.keyed = []
+
+    def key(self, exp):
+        self.keyed.append(exp)
+        return self.order.key(exp)
+
+
+def test_leading_follows_the_asking_order():
+    # the series order picks x, the operator order d^2 (its xi slot)
+    f = SymbolPoly({(1, 0, 0): 1, (0, 0, 2): 2, (3, 0, 0): 3})
+    twin = operator_order(1)
+    assert twin == OP1 and twin is not OP1
+    for order in (OP1, LO1, OP1, twin, LO1, twin, OP1):
+        assert f.leading(order) == max_lead(f, order)
+    assert f.le(LO1) == (1, 0, 0) and f.le(OP1) == (0, 0, 2)
+    assert f.lc(twin) == 2 and f.lc(LO1) == 1
+
+
+def test_leading_keys_terms_once_per_order():
+    f = SymbolPoly({(1, 0, 0): 1, (0, 0, 2): 2, (3, 0, 0): 3})
+    log = KeyLog(OP1)
+    f.le(log)
+    f.lc(log)
+    f.rest(log)
+    assert sorted(log.keyed) == sorted(f.terms)
+    # an equal but distinct order object keys the terms again
+    other = KeyLog(OP1)
+    assert f.leading(other) == f.leading(log)
+    assert len(other.keyed) == len(f.terms)
+
+
+@settings(deadline=None, max_examples=200)
+@given(poly_pairs())
+def test_leading_after_arithmetic(pair):
+    f, g = pair
+    for order in (LO1, OP1):
+        for p in (f, g):
+            if p.terms:
+                assert p.leading(order) == max_lead(p, order)
+    for got in (f + g, f - g, f * g, -f, f.scale(3)):
+        for order in (OP1, LO1, OP1):
+            if got.terms:
+                assert got.leading(order) == max_lead(got, order)
+    # the operands' leads are still their own
+    for p in (f, g):
+        if p.terms:
+            assert p.leading(LO1) == max_lead(p, LO1)
+
+
+def test_reduce_global_keys_no_divisor_twice():
+    names = ["x"]
+    divisors = [parse_op(t, names) for t in ("x*dx + x + 1", "dx^2 - s")]
+    log = KeyLog(elimination_order(1, ()))
+    p = parse_op("x^2*dx^3", names)
+    want = reduce_global(p, divisors, log.order)
+    assert reduce_global(p, divisors, log) == want
+    divisor_exps = {e for g in divisors for e in g.terms}
+    assert divisor_exps & set(log.keyed)
+    # s^3 is no lead's multiple and no divisor's term: keying it is all
+    # the second call has to do
+    log.keyed.clear()
+    s3 = parse_op("s^3", names)
+    assert reduce_global(s3, divisors, log) == s3
+    assert log.keyed == [(0, 3, 0)]
