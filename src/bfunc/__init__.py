@@ -16,7 +16,7 @@ from .staircase import (ApproxDivisionResult, StaircasePartition,
                         build_partition, mono_div, series_approx_div)
 from .sympoly import SymbolPoly
 from .weyl import (DiffOp, FsAction, apply_action, apply_to_fs, e_part,
-                   from_symbol, in_e, op_mul, ord_e, total_symbol)
+                   from_symbol, in_e, op_mul, ord_e)
 
 __version__ = "0.1.0"
 
@@ -32,5 +32,5 @@ __all__ = [
     "local_b_function", "mono_div", "mora_div", "nf_table", "op_approx_div",
     "op_mul", "operator_order", "ord_e", "parse_op", "parse_poly", "rat",
     "rational_roots", "series_approx_div", "series_order", "spair",
-    "total_symbol", "verify_certificate",
+    "verify_certificate",
 ]

@@ -17,7 +17,7 @@ from .localb import ann_fs, approx_nf, local_b_function
 from .opdiv import op_approx_div
 from .orders import operator_order
 from .parser import parse_op, parse_poly
-from .printing import format_poly, format_rational, format_univariate
+from .printing import format_poly, format_univariate
 
 
 def _build_parser():
@@ -118,9 +118,9 @@ def _run_localb(args):
     elapsed = (time.perf_counter() - t0) * 1000.0
     payload = {
         "b": format_univariate(result.b),
-        "b_coefficients": [format_rational(c) for c in result.b],
+        "b_coefficients": [str(c) for c in result.b],
         "degree": len(result.b) - 1,
-        "roots": [[format_rational(r), m] for r, m in result.roots],
+        "roots": [[str(r), m] for r, m in result.roots],
         "N_final": result.n_final,
         "gb_strategy": args.gb,
         "timings_ms": {"total": round(elapsed, 3)},
@@ -128,7 +128,7 @@ def _run_localb(args):
     lines = [f"b(s) = {payload['b']}"]
     if result.roots:
         lines.append("roots: " + ", ".join(
-            f"{format_rational(r)} (multiplicity {m})" for r, m in result.roots))
+            f"{r} (multiplicity {m})" for r, m in result.roots))
     else:
         lines.append("roots: none")
     lines.append(f"N_final: {result.n_final}")

@@ -83,8 +83,7 @@ def mora_div(p, divisors, order):
     for i, g in enumerate(divisors):
         if g.is_zero():
             raise InputError("zero divisor")
-        lead = g.leading(order)
-        pool.append((lead, g.max_total_degree() - sum(lead[0]), g, i))
+        pool.append((g.leading(order), ecart(g, order), g, i))
 
     # exp -> order.key(exp) and exp -> total degree for every exponent h has
     # held in this call, so each step keys only the terms the last

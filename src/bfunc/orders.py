@@ -58,15 +58,6 @@ class MatrixOrder:
         weights = tuple([sum(map(operator.mul, row, exp)) for row in self.rows])
         return weights + TIE_ORDERS[self.tie](exp)
 
-    def compare(self, a, b):
-        """Return -1, 0 or 1 as a is smaller than, equal to or larger than b."""
-        ka, kb = self.key(a), self.key(b)
-        if ka < kb:
-            return -1
-        if ka > kb:
-            return 1
-        return 0
-
 
 def series_order(arity, tie="grevlex"):
     """Order for power-series division: lower total degree is larger.

@@ -10,10 +10,6 @@ from .orders import operator_order
 from .sympoly import SymbolPoly
 
 
-def format_rational(c):
-    return str(c)
-
-
 def _format_term(exp, names):
     n = len(names)
     pieces = []
@@ -48,11 +44,11 @@ def format_poly(p, names, order=None):
         neg = coeff < 0
         mag = -coeff if neg else coeff
         if not pieces:
-            body = format_rational(mag)
+            body = str(mag)
         elif mag == 1:
             body = "*".join(pieces)
         else:
-            body = "*".join([format_rational(mag)] + pieces)
+            body = "*".join([str(mag)] + pieces)
         if not out:
             out.append(f"-{body}" if neg else body)
         else:

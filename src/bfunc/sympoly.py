@@ -207,26 +207,17 @@ class SymbolPoly:
     def le(self, order):
         return self.leading(order)[0]
 
-    def lc(self, order):
-        return self.leading(order)[1]
-
-    def lt(self, order):
-        exp, coeff = self.leading(order)
-        return self.__class__._raw({exp: coeff})
-
-    def lm(self, order):
-        exp, _ = self.leading(order)
-        return self.__class__._raw({exp: Rational(1)})
-
     def rest(self, order):
         """Everything but the leading term; zero for the zero polynomial."""
         if not self.terms:
             return self.__class__.zero()
-        exp, _ = self.leading(order)
-        data = dict(self.terms)
-        del data[exp]
-        return self.__class__._raw(data)
+        lead, _ = self.leading(order)
+        return self.__class__._raw(
+            {e: c for e, c in self.terms.items() if e != lead})
 
     def monic(self, order):
-        _, coeff = self.leading(order)
-        return self.scale(1 / coeff)
+        """Scaled copy with leading coefficient 1, its lead already kept."""
+        exp, coeff = self.leading(order)
+        copy = self.scale(1 / coeff)
+        copy._lead = order, (exp, copy.terms[exp])
+        return copy

@@ -89,11 +89,6 @@ class HomogOp(DiffOp):
     __slots__ = ()
 
 
-def total_symbol(op):
-    """Positional bijection operator -> commutative symbol."""
-    return SymbolPoly._raw(dict(op.terms))
-
-
 def from_symbol(poly):
     """Positional bijection commutative symbol -> operator."""
     return DiffOp._raw(dict(poly.terms))

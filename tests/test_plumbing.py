@@ -8,10 +8,13 @@ track flag either.
 A term whose coefficients cancel is deleted by sympoly.accumulate alone.
 A wrapped terms dict is never changed, which is what keeps the lead that
 SymbolPoly.leading stores valid.
+Every public function and method is used: by the library, by the acceptance
+tests or in README.md.
 """
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import bfunc
@@ -80,8 +83,7 @@ def _term_deletions(path):
 
 def test_cancelled_terms_deleted_in_one_place():
     found = [hit for path in SOURCES for hit in _term_deletions(path)]
-    assert "sympoly.accumulate" in found
-    assert set(found) <= {"sympoly.accumulate", "sympoly.SymbolPoly.rest"}
+    assert set(found) == {"sympoly.accumulate"}
 
 
 MUTATORS = {"pop", "popitem", "update", "clear", "setdefault"}
@@ -119,3 +121,94 @@ def test_terms_never_change_in_place():
     probe = ("p.terms[e] = 1\ndel q.terms[e]\np.terms[e] += 1\n"
              "p.terms.pop(e)\np.terms.update(d)\np.terms = {}\n")
     assert len(_terms_writes(probe, "probe.py")) == 6
+
+
+# -- no public name that nothing uses -------------------------------------
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def _public_defs(tree):
+    """Public module-level function names and (class, method) pairs of the
+    public classes; private names and dunders are left out."""
+    funcs, methods = [], []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            funcs.append(node.name)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            methods += [(node.name, item.name) for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")]
+    return funcs, methods
+
+
+def _uses(tree):
+    """(names, attributes) the tree reads, each paired with the name of the
+    innermost def it sits in, so a def's mention of itself can be told
+    apart."""
+    names, attrs = set(), set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Name):
+                names.add((child.id, owner))
+            elif isinstance(child, ast.Attribute):
+                attrs.add((child.attr, owner))
+            visit(child, owner)
+
+    visit(tree, None)
+    return names, attrs
+
+
+def _unused_public(sources, acceptance, readme):
+    """Public names of sources that no other source code (the package's
+    export list aside), no acceptance test and no README line mentions."""
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sources}
+    names, attrs = set(), set()
+    for name, tree in trees.items():
+        if name != "__init__.py":
+            tree_names, tree_attrs = _uses(tree)
+            names |= tree_names
+            attrs |= tree_attrs
+    acc_names, acc_attrs = (
+        {read for read, _ in found} for found in _uses(ast.parse(acceptance)))
+
+    def used(name, pairs, in_acceptance, pattern):
+        return (any(read == name and owner != name for read, owner in pairs)
+                or name in in_acceptance or re.search(pattern, readme))
+
+    unused = []
+    for tree in trees.values():
+        funcs, methods = _public_defs(tree)
+        unused += [f for f in funcs
+                   if not used(f, names | attrs, acc_names | acc_attrs,
+                               rf"\b{f}\b")]
+        unused += [f"{cls}.{m}" for cls, m in methods
+                   if not used(m, attrs, acc_attrs, rf"\.{m}\b")]
+    return unused
+
+
+def test_public_names_are_used(tmp_path):
+    acceptance = (REPO / "tests" / "test_acceptance.py").read_text()
+    readme = (REPO / "README.md").read_text()
+    assert _unused_public(SOURCES, acceptance, readme) == []
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def kept():\n    return 1\n\n"
+        "def loner():\n    return loner()\n\n"
+        "def told():\n    pass\n\n"
+        "def tested():\n    pass\n\n"
+        "def _hidden():\n    return kept() + Box().size()\n\n"
+        "class Box:\n"
+        "    def size(self):\n        return 1\n"
+        "    def area(self):\n        return self.area()\n"
+        "    def __len__(self):\n        return 0\n\n"
+        "class _Inner:\n    def spare(self):\n        pass\n")
+    exports = tmp_path / "__init__.py"
+    exports.write_text("from .probe import loner\n__all__ = ['loner']\n")
+    assert _unused_public([exports, probe], "tested()",
+                          "see told() in the README") == ["loner", "Box.area"]

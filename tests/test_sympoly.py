@@ -38,7 +38,7 @@ def test_additive_inverse_and_identity():
 def test_leading_data_row():
     f = parse_poly("3*x + x*y", ["x", "y"])
     lo = series_order(5)
-    assert f.lt(lo) == SymbolPoly.monomial((1, 0, 0, 0, 0), 3)
+    assert f.leading(lo) == ((1, 0, 0, 0, 0), 3)
     assert f.exps() == {(1, 0, 0, 0, 0), (1, 1, 0, 0, 0)}
     assert f.rest(lo) == parse_poly("x*y", ["x", "y"])
 
@@ -51,7 +51,7 @@ def test_leading_data_constant():
 
 def test_leading_local_prefers_low_degree():
     f = P("x - x^2")
-    assert f.lm(LO1) == P("x")
+    assert f.leading(LO1) == ((1, 0, 0), 1)
     assert f.rest(LO1) == P("-x^2")
 
 
@@ -109,10 +109,10 @@ def test_lt_rest_decomposition(f):
     if f.is_zero():
         assert f.rest(LO1).is_zero()
         return
-    assert f.lt(LO1) + f.rest(LO1) == f
-    le = f.le(LO1)
+    assert SymbolPoly.monomial(*f.leading(LO1)) + f.rest(LO1) == f
+    top = LO1.key(f.le(LO1))
     for exp in f.rest(LO1).exps():
-        assert LO1.compare(exp, le) < 0
+        assert LO1.key(exp) < top
 
 
 def naive_terms(f, g, op):
@@ -181,20 +181,27 @@ def test_leading_follows_the_asking_order():
     for order in (OP1, LO1, OP1, twin, LO1, twin, OP1):
         assert f.leading(order) == max_lead(f, order)
     assert f.le(LO1) == (1, 0, 0) and f.le(OP1) == (0, 0, 2)
-    assert f.lc(twin) == 2 and f.lc(LO1) == 1
+    assert f.leading(twin)[1] == 2 and f.leading(LO1)[1] == 1
 
 
 def test_leading_keys_terms_once_per_order():
     f = SymbolPoly({(1, 0, 0): 1, (0, 0, 2): 2, (3, 0, 0): 3})
     log = KeyLog(OP1)
     f.le(log)
-    f.lc(log)
+    f.leading(log)
     f.rest(log)
+    assert sorted(log.keyed) == sorted(f.terms)
+    # the monic copy keeps the lead monic() found, so asking keys nothing
+    m = f.monic(log)
+    assert m.leading(log) == ((0, 0, 2), 1)
     assert sorted(log.keyed) == sorted(f.terms)
     # an equal but distinct order object keys the terms again
     other = KeyLog(OP1)
     assert f.leading(other) == f.leading(log)
     assert len(other.keyed) == len(f.terms)
+    other.keyed.clear()
+    assert m.leading(other) == max_lead(m, OP1)
+    assert len(other.keyed) == len(m.terms)
 
 
 @settings(deadline=None, max_examples=200)
