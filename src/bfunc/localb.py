@@ -9,6 +9,11 @@ s_power_nfs) and exact only below the truncation degree, looks for an
 exact rational dependency among their truncations, and certifies each
 candidate by Mora division; failed certifications raise the truncation
 degree and chain the normal forms afresh.
+
+When f is weighted homogeneous with an isolated singularity at the origin,
+its annihilator has a closed form (the Euler and Koszul operators, see
+_yano_generators) and local_b_function skips the elimination; ann_fs
+itself always eliminates.
 """
 
 import itertools
@@ -20,7 +25,7 @@ from .groebner import (GroebnerBasis, MoraResult, buchberger_global,
                        check_strategy, groebner_basis, mora_div)
 from .linalg import nullspace
 from .opdiv import op_approx_div
-from .orders import elimination_order, operator_order
+from .orders import MatrixOrder, elimination_order, operator_order
 from .rationals import Rational
 from .weyl import DiffOp, apply_to_fs, base_arity, from_symbol, op_mul
 
@@ -109,10 +114,52 @@ def ann_fs(f, tie="grevlex"):
             if g.terms not in seen:
                 seen.append(g.terms)
                 result.append(g)
-    for g in result:
+    _check_annihilates(result, f)
+    return result
+
+
+def _check_annihilates(gens, f):
+    for g in gens:
         if not apply_to_fs(g, f).is_zero():
             raise BfuncError("annihilator candidate fails to annihilate")
-    return result
+
+
+def _yano_generators(f):
+    """Annihilator of f^s in closed form, or None when f does not qualify.
+
+    For f weighted homogeneous with positive weights w (f = sum w_i x_i f_i)
+    and an isolated singularity at the origin, the annihilator is generated
+    by the Euler operator sum w_i x_i d_i - s and the Koszul operators
+    f_i d_j - f_j d_i, i < j (Yano 1978; Torrelli 2004).  w must be the one
+    solution of w . alpha = 1 over the support of f, and positive.  The
+    Jacobian ideal is then weighted homogeneous, so its zero set is a cone
+    and the singularity is isolated exactly when every x_i has a power in
+    it: some leading exponent of its Groebner basis (the partials commute,
+    so the global Buchberger loop computes it) is a pure power of x_i, or
+    is 1 when f is smooth.
+    """
+    n, arity = base_arity(f), f.arity
+    kernel = nullspace([[Rational(a) for a in e[:n] + (-1,)]
+                        for e in f.terms], n + 1)
+    if len(kernel) != 1 or not kernel[0][n]:
+        return None
+    w = [c / kernel[0][n] for c in kernel[0][:n]]
+    if not all(c > 0 for c in w):
+        return None
+    partials = [from_symbol(f.partial(i)) for i in range(n)]
+    order = MatrixOrder(rows=(), tie="grevlex", arity=arity)
+    leads = [g.le(order) for g in buchberger_global(partials, order)]
+    # each x_i needs a lead free of the other variables
+    if not all(any(not any(e[:i] + e[i + 1:]) for e in leads)
+               for i in range(n)):
+        return None
+    d = [DiffOp.variable(n + 1 + i, arity) for i in range(n)]
+    euler = sum((DiffOp.variable(i, arity, coeff=c) * d[i]
+                 for i, c in enumerate(w)), -DiffOp.variable(n, arity))
+    gens = [euler] + [partials[i] * d[j] - partials[j] * d[i]
+                      for i, j in itertools.combinations(range(n), 2)]
+    _check_annihilates(gens, f)
+    return gens
 
 
 def _shift_to_s(g, n, t_slot, dt_slot, ne):
@@ -425,7 +472,12 @@ def local_b_function(f, gb_strategy="mora", n0=None, nmax=64, tie="grevlex",
     nmax : largest truncation degree tried before giving up
     tie : tie-breaking term order name
     ann_gens : optional sequence of DiffOp generating the annihilator of f^s,
-        bypassing the built-in elimination (each must annihilate f^s)
+        bypassing both the closed form and the elimination (each must
+        annihilate f^s)
+
+    Without ann_gens, a weighted homogeneous f with an isolated singularity
+    at the origin takes its annihilator in closed form (_yano_generators);
+    every other f takes it from the elimination in ann_fs.
 
     For a non-unit f, a b(s) that breaks a theorem every local b-function
     obeys (see _check_roots) raises BfuncError.
@@ -449,8 +501,9 @@ def local_b_function(f, gb_strategy="mora", n0=None, nmax=64, tie="grevlex",
         return BFunctionResult((Rational(1),), [], 0, cert,
                                GroebnerBasis([one], order))
 
-    ann = ann_fs(f, tie) if ann_gens is None else ann_gens
-    gb = groebner_basis(ann + [from_symbol(f)], order, gb_strategy)
+    if ann_gens is None:
+        ann_gens = _yano_generators(f) or ann_fs(f, tie)
+    gb = groebner_basis(ann_gens + [from_symbol(f)], order, gb_strategy)
     coeffs, n_final, cert = find_generator(gb, n0, nmax)
     roots, cofactor = rational_roots(coeffs)
     _check_roots(roots, cofactor, n)

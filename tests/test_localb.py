@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bfunc.errors import BfuncError, InputError, ResourceLimitError
-from bfunc.groebner import (MoraResult, buchberger_mora, groebner_lazard,
-                            mora_div)
-from bfunc.localb import (ann_fs, approx_nf, dependency_kernel, find_generator,
-                          local_b_function, nf_table, rational_roots,
-                          verify_certificate)
+from bfunc.groebner import (MoraResult, buchberger_global, buchberger_mora,
+                            groebner_lazard, mora_div)
+from bfunc.localb import (_yano_generators, ann_fs, approx_nf,
+                          dependency_kernel, find_generator, local_b_function,
+                          nf_table, rational_roots, verify_certificate)
 from bfunc.orders import operator_order
 from bfunc.parser import parse_op, parse_poly
 from bfunc.printing import format_poly, format_univariate
@@ -68,6 +68,97 @@ def test_ann_fs_annihilation_corpus():
         f = parse_poly(text, names)
         for g in ann_fs(f):
             assert apply_to_fs(g, f).is_zero(), (text, format_poly(g, names))
+
+
+# ------------------------------------------- closed-form annihilator (Yano)
+
+@pytest.mark.parametrize("text, names", [
+    ("x^3 + y^2 + z^2", XYZ),
+    ("x^3 + x*y^2 + z^2", XYZ),
+    ("x^2*y + y^4", ["x", "y"]),
+    ("x*y*(x + y)*(x - 2*y)", ["x", "y"]),
+    ("x^5 + y^5", ["x", "y"]),
+    ("x^2", ["x"]),
+    ("x + y^2", ["x", "y"]),   # smooth: the partials generate 1
+])
+def test_yano_gate_accepts(text, names):
+    f = parse_poly(text, names)
+    gens = _yano_generators(f)
+    n = len(names)
+    assert len(gens) == 1 + n * (n - 1) // 2
+    for g in gens:
+        assert apply_to_fs(g, f).is_zero(), format_poly(g, names)
+    # the Euler operator comes first: sum w_i x_i d_i - s
+    assert gens[0].coeff((0,) * n + (1,) + (0,) * n) == -1
+
+
+@pytest.mark.parametrize("text, names, reaches_isolation", [
+    pytest.param("x^2*(y + 1)^2*z^2", XYZ, False, id="no-positive-weights"),
+    # x*y*z is not isolated, but its monomial fits many weights, so the
+    # weight test already turns it down
+    pytest.param("x*y*z", XYZ, False, id="xyz-weights-not-unique"),
+    pytest.param("x^3 + x^2*y", ["x", "y"], True, id="not-isolated"),
+    pytest.param("x^3 + y^3 + x*y*z", XYZ, True, id="not-isolated-3"),
+    pytest.param("x^2", ["x", "y"], False, id="weights-not-unique"),
+    pytest.param("x^2 + x^3 + y^3", ["x", "y"], False,
+                 id="not-quasi-homogeneous"),
+])
+def test_yano_gate_rejects(monkeypatch, text, names, reaches_isolation):
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return buchberger_global(*args)
+
+    # only the isolation test computes a basis; weights are decided first
+    monkeypatch.setattr("bfunc.localb.buchberger_global", recording)
+    assert _yano_generators(parse_poly(text, names)) is None
+    assert bool(calls) == reaches_isolation
+
+
+def test_b_function_smooth_input():
+    res = local_b_function(parse_poly("x + y^2", ["x", "y"]))
+    assert format_univariate(res.b) == "s + 1"
+    verify_certificate(res)
+
+
+_nonzero = st.sampled_from([-3, -2, -1, 1, 2, 3, Fraction(1, 2)])
+
+
+@st.composite
+def _quasi_homogeneous_isolated(draw):
+    shape = draw(st.sampled_from(["bp2", "bp3", "x^3+x*y^2+z^2",
+                                  "x^2*y+y^4"]))
+    if shape == "bp2":
+        names = ["x", "y"]
+        monos = [f"{v}^{draw(st.integers(2, 4))}" for v in names]
+    elif shape == "bp3":
+        names = XYZ
+        monos = [f"x^{draw(st.integers(2, 3))}",
+                 f"y^{draw(st.integers(2, 3))}", "z^2"]
+    elif shape == "x^3+x*y^2+z^2":
+        names, monos = XYZ, ["x^3", "x*y^2", "z^2"]
+    else:
+        names, monos = ["x", "y"], ["x^2*y", "y^4"]
+    text = " + ".join(f"({draw(_nonzero)})*{m}" for m in monos)
+    return text, names
+
+
+@pytest.mark.parametrize("strategy", ["mora", "lazard"])
+@settings(deadline=None, max_examples=10)
+@given(case=_quasi_homogeneous_isolated())
+def test_yano_shortcut_matches_elimination(strategy, case):
+    text, names = case
+    f = parse_poly(text, names)
+    for g in _yano_generators(f):
+        assert apply_to_fs(g, f).is_zero()
+    fast = local_b_function(f, gb_strategy=strategy)
+    slow = local_b_function(f, gb_strategy=strategy, ann_gens=ann_fs(f))
+    assert fast.b == slow.b
+    assert fast.n_final == slow.n_final
+    assert [g.terms for g in fast.gb.elements] == \
+        [g.terms for g in slow.gb.elements]
+    verify_certificate(fast)
 
 
 # ------------------------------------------------------------ normal forms
@@ -460,6 +551,7 @@ def test_b_function_checks_arguments_first(monkeypatch, text, kwargs,
         raise AssertionError("annihilator computed for invalid arguments")
 
     monkeypatch.setattr("bfunc.localb.ann_fs", no_annihilator)
+    monkeypatch.setattr("bfunc.localb._yano_generators", no_annihilator)
     with pytest.raises(InputError, match=message):
         local_b_function(parse_poly(text, ["x"]), **kwargs)
 
