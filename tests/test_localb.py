@@ -93,10 +93,13 @@ def test_yano_gate_accepts(text, names):
 
 
 @pytest.mark.parametrize("text, names, reaches_isolation", [
-    pytest.param("x^2*(y + 1)^2*z^2", XYZ, False, id="no-positive-weights"),
-    # x*y*z is not isolated, but its monomial fits many weights, so the
-    # weight test already turns it down
+    # x^2*(y+1)^2*z^2 and x*y*z are not isolated either, but their
+    # weights (w_y = 0 and w_x + w_z = 1/2; any w_x + w_y + w_z = 1) are
+    # not unique, so the weight test already turns them down
+    pytest.param("x^2*(y + 1)^2*z^2", XYZ, False, id="xyz-unit-weights"),
     pytest.param("x*y*z", XYZ, False, id="xyz-weights-not-unique"),
+    pytest.param("x^2 + x^2*y", ["x", "y"], False, id="zero-weight"),
+    pytest.param("x + x^2*y", ["x", "y"], False, id="negative-weight"),
     pytest.param("x^3 + x^2*y", ["x", "y"], True, id="not-isolated"),
     pytest.param("x^3 + y^3 + x*y*z", XYZ, True, id="not-isolated-3"),
     pytest.param("x^2", ["x", "y"], False, id="weights-not-unique"),
@@ -114,6 +117,24 @@ def test_yano_gate_rejects(monkeypatch, text, names, reaches_isolation):
     monkeypatch.setattr("bfunc.localb.buchberger_global", recording)
     assert _yano_generators(parse_poly(text, names)) is None
     assert bool(calls) == reaches_isolation
+
+
+@pytest.mark.parametrize("text, eliminates", [
+    ("x^3 + y^2 + z^2", False),
+    ("x*y*z", True),
+])
+def test_b_function_eliminates_only_outside_the_gate(monkeypatch, text,
+                                                      eliminates):
+    calls = []
+
+    def recording(f, tie):
+        calls.append(f)
+        return ann_fs(f, tie)
+
+    monkeypatch.setattr("bfunc.localb.ann_fs", recording)
+    res = local_b_function(parse_poly(text, XYZ))
+    assert bool(calls) == eliminates
+    verify_certificate(res)
 
 
 def test_b_function_smooth_input():
