@@ -26,7 +26,7 @@ import heapq
 from dataclasses import dataclass
 
 from .errors import InputError
-from .orders import MatrixOrder, homogenized_order
+from .orders import MatrixOrder, _descending_key, homogenized_order
 from .sympoly import accumulate
 from .weyl import DiffOp, HomogOp, op_mul
 
@@ -64,6 +64,22 @@ def _divides(a, b):
     return True
 
 
+def _top(heap, h):
+    """Exponent of the top entry of a lazy heap over h, dropping entries
+    whose exponent has left h on the way."""
+    while heap[0][1] not in h:
+        heapq.heappop(heap)
+    return heap[0][1]
+
+
+def _subtract(h, product):
+    """Add product (minus the quotient term times a divisor) into the dict h
+    in place; returns the exponents it brings into h."""
+    new = [e for e in product.terms if e not in h]
+    accumulate(h, product.terms.items())
+    return new
+
+
 def mora_div(p, divisors, order):
     """Mora division of p by the divisors under a local order.
 
@@ -85,17 +101,17 @@ def mora_div(p, divisors, order):
             raise InputError("zero divisor")
         pool.append((g.leading(order), ecart(g, order), g, i))
 
-    # exp -> order.key(exp) and exp -> total degree for every exponent h has
-    # held in this call, so each step keys only the terms the last
-    # subtraction brought in.
-    keys, degs = {}, {}
+    # Lazy max-heaps over the exponents of h, by order and by total degree
+    # (for the ecart): an exponent is pushed when a subtraction brings it
+    # into h, and an entry whose exponent has left h is dropped when it
+    # reaches the top.
     h = dict(p.terms)
+    by_order = [(_descending_key(order, e), e) for e in p.terms]
+    by_degree = [(-sum(e), e) for e in p.terms]
+    heapq.heapify(by_order)
+    heapq.heapify(by_degree)
     while h:
-        for e in h:
-            if e not in keys:
-                keys[e] = order.key(e)
-                degs[e] = sum(e)
-        he = max(h, key=keys.__getitem__)
+        he = _top(by_order, h)
         h_lead = (he, h[he])
         best = None
         for entry in pool:
@@ -104,13 +120,15 @@ def mora_div(p, divisors, order):
                     best = entry
         if best is None:
             break
-        h_ecart = max(map(degs.__getitem__, h)) - degs[he]
+        h_ecart = sum(_top(by_degree, h)) - sum(he)
         if best[1] > h_ecart:
             pool.append((h_lead, h_ecart, cls._raw(dict(h)),
                          (unit, list(quots))))
         # m is minus the quotient term, so every update below is a sum
         m = _mono_quotient((he, -h_lead[1]), best[0], cls)
-        accumulate(h, op_mul(m, best[2]).terms.items())
+        for e in _subtract(h, op_mul(m, best[2])):
+            heapq.heappush(by_order, (_descending_key(order, e), e))
+            heapq.heappush(by_degree, (-sum(e), e))
         prov = best[3]
         if isinstance(prov, int):
             quots[prov] = quots[prov] - m
@@ -219,19 +237,17 @@ def reduce_global(p, divisors, order, mul=op_mul):
     leads = [g.leading(order) for g in divisors]
     cls = p.__class__
     remainder = {}
-    # exp -> order.key(exp) for every exponent h has held in this call, so
-    # each step keys only the terms the last subtraction brought in.
-    keys = {}
+    # lazy max-heap over the exponents of h, kept as in mora_div
     h = dict(p.terms)
+    heap = [(_descending_key(order, e), e) for e in p.terms]
+    heapq.heapify(heap)
     while h:
-        for e in h:
-            if e not in keys:
-                keys[e] = order.key(e)
-        he = max(h, key=keys.__getitem__)
+        he = _top(heap, h)
         for lead, g in zip(leads, divisors):
             if _divides(lead[0], he):
                 m = _mono_quotient((he, -h[he]), lead, cls)
-                accumulate(h, mul(m, g).terms.items())
+                for e in _subtract(h, mul(m, g)):
+                    heapq.heappush(heap, (_descending_key(order, e), e))
                 break
         else:
             remainder[he] = h.pop(he)

@@ -6,7 +6,8 @@ order, then search for the minimal monic polynomial b(s) in the ideal.  The
 search computes approximate normal forms of the powers of s, each chained
 from the one before (NF(s^(i+1)) is the normal form of s * NF(s^i), see
 s_power_nfs) and exact only below the truncation degree, looks for an
-exact rational dependency among their truncations, and certifies each
+exact rational dependency among their truncations (one echelon per
+truncation degree, see find_generator), and certifies each
 candidate by Mora division; failed certifications raise the truncation
 degree and chain the normal forms afresh.
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from .errors import BfuncError, InputError, ResourceLimitError
 from .groebner import (GroebnerBasis, MoraResult, buchberger_global,
                        check_strategy, groebner_basis, mora_div)
-from .linalg import nullspace
+from .linalg import add_column, nullspace
 from .opdiv import op_approx_div
 from .orders import MatrixOrder, elimination_order, operator_order
 from .rationals import Rational
@@ -230,7 +231,9 @@ def nf_table(gb, top_power, bound):
 def dependency_kernel(nfs, bound):
     """Exact kernel of the truncated normal forms, as coefficient vectors.
 
-    Vectors (a_0..a_d) with sum a_i * truncate(nfs[i], bound) = 0.
+    Vectors (a_0..a_d) with sum a_i * truncate(nfs[i], bound) = 0, from
+    linalg.nullspace on the dense table; find_generator checks its echelon's
+    dependency against this.
     """
     truncated = [nf.truncate(bound) for nf in nfs]
     support = sorted(set().union(*(t.exps() for t in truncated)))
@@ -255,22 +258,31 @@ def find_generator(gb, n0, nmax):
     ruled out when the truncation degree grows, so after a failed
     certification only the truncation degree is raised and the normal forms
     are chained afresh at the new degree (s_power_nfs): they are exact only
-    below it, and one more is pulled each time the kernel is empty.
-    Truncation degrees run from n0 up to nmax; n0 < 1 or n0 > nmax is an
-    InputError.
+    below it.  At each truncation degree one echelon is kept: each truncated
+    normal form, a sparse column, is reduced against the pivots of the ones
+    before it (linalg.add_column), and normal forms are pulled until one
+    past the last ruled-out degree vanishes.  dependency_kernel then
+    eliminates that table once more, and its single monic kernel vector, the
+    candidate, must equal the echelon's dependency.  Truncation degrees run
+    from n0 up to nmax; n0 < 1 or n0 > nmax is an InputError.
     """
     _check_bounds(n0, nmax)
     d = 0
     for bound in range(n0, nmax + 1):
-        powers = s_power_nfs(gb, bound)
-        nfs = list(itertools.islice(powers, d + 1))
-        while not (kernel := dependency_kernel(nfs, bound)):
-            d += 1
-            nfs.append(next(powers))
-        # s^0..s^(d-1) are independent: one kernel vector, free last entry 1
-        if len(kernel) != 1 or kernel[0][-1] != 1:
-            raise BfuncError("dependency kernel is not a single monic vector")
-        candidate = tuple(kernel[0])
+        nfs, pivots = [], []
+        for nf in s_power_nfs(gb, bound):
+            dependency = add_column(pivots, nf.truncate(bound).terms, len(nfs))
+            nfs.append(nf)
+            if len(nfs) > d and len(pivots) < len(nfs):
+                break
+        d = len(nfs) - 1
+        kernel = dependency_kernel(nfs, bound)
+        # s^0..s^(d-1) are independent, so both eliminations find one
+        # dependency, monic in s^d
+        if kernel != [dependency]:
+            raise BfuncError("dependency kernel is not the echelon's single "
+                             "monic vector")
+        candidate = tuple(dependency)
         cert = mora_div(_poly_in_s(candidate, gb.order.arity), gb.elements,
                         gb.order)
         if cert.remainder.is_zero():

@@ -59,6 +59,19 @@ class MatrixOrder:
         return weights + TIE_ORDERS[self.tie](exp)
 
 
+def _descending_key(order, exp):
+    """order.key(exp) with every int negated, so that a heapq min-heap of
+    them pops the largest exponent first.  The grlex and grevlex tie keys
+    end in a tuple of fixed length, which is negated in place: a flattened
+    key would be a tuple length nothing else uses, and the interpreter keeps
+    up to 2000 freed tuples of each length for reuse."""
+    key = order.key(exp)
+    if type(key[-1]) is tuple:
+        return tuple(map(operator.neg, key[:-1])) + (
+            tuple(map(operator.neg, key[-1])),)
+    return tuple(map(operator.neg, key))
+
+
 def series_order(arity, tie="grevlex"):
     """Order for power-series division: lower total degree is larger.
 

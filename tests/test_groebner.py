@@ -6,7 +6,7 @@ from bfunc import groebner, localb
 from bfunc.errors import InputError
 from bfunc.groebner import (MoraResult, _divides, _homogenize,
                             buchberger_global, buchberger_mora, ecart,
-                            groebner_lazard, mora_div, spair)
+                            groebner_lazard, mora_div, reduce_global, spair)
 from bfunc.localb import ann_fs
 from bfunc.orders import homogenized_order, operator_order
 from bfunc.parser import parse_op, parse_poly
@@ -403,6 +403,60 @@ def test_mora_div_matches_rekeying_loop(monkeypatch):
     for p, divisors, order, _ in calls:
         assert exact(mora_div(p, divisors, order)) == \
             exact(rekeying_mora_div(p, divisors, order))
+
+
+def rescanning_reduce_global(p, divisors, order, mul=op_mul):
+    """reduce_global as it was before the lazy heap: the leader is the
+    largest of every term of h, rescanned on each step."""
+    leads = [g.leading(order) for g in divisors]
+    cls = p.__class__
+    remainder = {}
+    h = p
+    while h.terms:
+        he = max(h.terms, key=order.key)
+        ch = h.terms[he]
+        for (eg, cg), g in zip(leads, divisors):
+            if all(a <= b for a, b in zip(eg, he)):
+                m = cls._raw({tuple(a - b for a, b in zip(he, eg)): ch / cg})
+                h = h - mul(m, g)
+                break
+        else:
+            remainder[he] = ch
+            h = h - cls._raw({he: ch})
+    return cls._raw(remainder)
+
+
+def test_reduce_global_matches_rescanning_loop(monkeypatch):
+    # Every reduce_global call of the elimination in ann_fs, of Lazard's
+    # homogenized Buchberger on the corpus and of the Jacobian bases that
+    # the closed-form annihilator's gate computes is recorded and replayed
+    # through both loops.
+    calls = []
+
+    def recording(p, divisors, order, mul=op_mul):
+        calls.append((p, list(divisors), order, mul))
+        return reduce_global(p, divisors, order, mul)
+
+    monkeypatch.setattr(groebner, "reduce_global", recording)
+    for text in ("x^2*(y + 1)^2*z^2", "x*y*z"):
+        ann_fs(parse_poly(text, XYZ))
+    ideals = corpus_ideals()  # these eliminate too
+    elimination = len(calls)
+    for gens, order in ideals:
+        groebner_lazard(gens, order)
+    lazard = len(calls) - elimination
+    for text, names in [("x^3 + y^2 + z^2", XYZ), ("x^3 + x*y^2 + z^2", XYZ),
+                        ("x^2*y + y^4", ["x", "y"]),
+                        ("x^3 + x^2*y", ["x", "y"])]:
+        localb._yano_generators(parse_poly(text, names))
+    monkeypatch.undo()
+    jacobian = len(calls) - elimination - lazard
+    assert elimination > 200 and lazard > 50 and jacobian > 10
+
+    for p, divisors, order, mul in calls:
+        got = reduce_global(p, divisors, order, mul)
+        want = rescanning_reduce_global(p, divisors, order, mul)
+        assert (type(got), got.terms) == (type(want), want.terms)
 
 
 def test_division_leaves_operands_unchanged(monkeypatch):

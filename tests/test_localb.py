@@ -360,6 +360,25 @@ def test_find_generator_rejects_a_bad_kernel(monkeypatch, last):
         find_generator(gb, 7, 8)
 
 
+def test_find_generator_kernels_once_per_bound(monkeypatch):
+    # the echelon decides how many normal forms to pull; the dense kernel
+    # runs once per truncation degree tried, on the final table
+    calls = []
+
+    def counting(nfs, bound):
+        calls.append((len(nfs), bound))
+        return dependency_kernel(nfs, bound)
+
+    monkeypatch.setattr("bfunc.localb.dependency_kernel", counting)
+    coeffs, n_used, _ = find_generator(example_gb(), 1, 64)
+    assert len(calls) == n_used
+    assert [bound for _, bound in calls] == list(range(1, n_used + 1))
+    assert calls[-1][0] == len(coeffs)
+    calls.clear()
+    res = local_b_function(parse_poly("x^2 + y^3", ["x", "y"]), n0=6)
+    assert len(calls) == res.n_final - 5
+
+
 # ---------------------------------------------------------- rational roots
 
 def test_roots_linear():

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bfunc.errors import InputError
-from bfunc.orders import (MatrixOrder, elimination_order, homogenized_order,
-                          operator_order, series_order)
+from bfunc.orders import (MatrixOrder, _descending_key, elimination_order,
+                          homogenized_order, operator_order, series_order)
 from bfunc.parser import parse_poly
 from bfunc.printing import format_poly
 
@@ -126,3 +126,20 @@ def test_key_values(n, slots, block):
         for order in orders:
             exp = tuple(slots[:order.arity])
             assert order.key(exp) == written_out_key(order, exp)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 3), st.lists(st.integers(0, 4), min_size=16, max_size=16),
+       st.sets(st.integers(0, 2), min_size=1))
+def test_descending_key_reverses_key(n, slots, block):
+    # the division loops keep their leaders in heapq min-heaps of this key
+    block = sorted(i for i in block if i < n)
+    for tie in ("lex", "grlex", "grevlex"):
+        orders = [series_order(2 * n + 1, tie), operator_order(n, tie),
+                  elimination_order(n, block, tie), homogenized_order(n, tie),
+                  MatrixOrder(rows=(), tie=tie, arity=2 * n + 1)]
+        for order in orders:
+            a, b = tuple(slots[:order.arity]), tuple(slots[8:8 + order.arity])
+            da, db = _descending_key(order, a), _descending_key(order, b)
+            assert (da < db) == (order.key(a) > order.key(b))
+            assert (da == db) == (a == b)

@@ -10,6 +10,8 @@ A wrapped terms dict is never changed, which is what keeps the lead that
 SymbolPoly.leading stores valid.
 Every public function and method is used: by the library, by the acceptance
 tests or in README.md.
+Mora division and the global normal form never rescan their running
+dividend: its leader comes from a lazy heap.
 """
 
 import ast
@@ -84,6 +86,52 @@ def _term_deletions(path):
 def test_cancelled_terms_deleted_in_one_place():
     found = [hit for path in SOURCES for hit in _term_deletions(path)]
     assert set(found) == {"sympoly.accumulate"}
+
+
+SCANS = {"max", "min", "sorted", "map", "filter", "sum", "any", "all",
+         "list", "tuple", "set", "frozenset", "enumerate", "zip"}
+
+
+def _is_dividend(node):
+    """h itself, or a view of it such as h.items()."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        node = node.func.value
+    return isinstance(node, ast.Name) and node.id == "h"
+
+
+def _dividend_scans(source, name, funcs=("mora_div", "reduce_global")):
+    """Places in the division loops that scan their running dividend h:
+    a max( call, or a loop, comprehension or whole-collection call over h.
+    Copying h whole (dict(h)) is not a scan."""
+    found = []
+    for node in ast.walk(ast.parse(source, name)):
+        if not (isinstance(node, ast.FunctionDef) and node.name in funcs):
+            continue
+        for sub in ast.walk(node):
+            where = f"{name}:{node.name}:{getattr(sub, 'lineno', '?')}"
+            if isinstance(sub, (ast.For, ast.comprehension)) and \
+                    _is_dividend(sub.iter):
+                found.append(f"{where} loops over h")
+            elif isinstance(sub, ast.Call) and _callee(sub) in SCANS and (
+                    _callee(sub) == "max"
+                    or any(map(_is_dividend, sub.args))):
+                found.append(f"{where} calls {_callee(sub)}(")
+    return found
+
+
+def test_division_loops_keep_leaders_in_heaps():
+    # mora_div and reduce_global find the leader (and Mora's ecart) from
+    # lazy heaps, so no step looks at every term of the dividend
+    source = (Path(bfunc.__file__).parent / "groebner.py").read_text()
+    assert _dividend_scans(source, "groebner.py") == []
+    probe = ("def mora_div(p):\n"
+             "    for e in h:\n        pass\n"
+             "    he = max(h, key=keys.__getitem__)\n"
+             "    top = max(map(degs.__getitem__, h))\n"
+             "    new = [e for e in h.keys() if e]\n"
+             "    pool = dict(h)\n"
+             "def other(h):\n    return max(h)\n")
+    assert len(_dividend_scans(probe, "probe.py")) == 5
 
 
 MUTATORS = {"pop", "popitem", "update", "clear", "setdefault"}
