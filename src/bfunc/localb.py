@@ -45,75 +45,47 @@ def ann_fs(f, tie="grevlex"):
     Works in an enlarged operator session with a graph variable t and two
     inverse scaling variables u, v: the ideal generated by t - u*f, the
     chain-rule operators d_i + u*(df/dx_i)*d_t, and u*v - 1 is intersected
-    with the u,v-free subalgebra by an elimination Groebner basis.  Every
-    surviving element is homogeneous for the (t, d_t)-weight; after shifting
-    each to weight zero, t^a d_t^a rewrites to (-1)^a (s+1)...(s+a), giving
-    operators in x, d and s that annihilate the symbolic power.
+    with the u,v-free subalgebra by an elimination Groebner basis, under a
+    global order of the plain (not homogenized) Weyl algebra.  The session
+    has the n + 3 base slots t, x_1..x_n, u, v, then s, then d_t,
+    d_1..d_n, d_u, d_v; the tie order breaks ties in that slot order.
+    Every surviving element is homogeneous for the (t, d_t)-weight; after
+    shifting each to weight zero, t^a d_t^a rewrites to
+    (-1)^a (s+1)...(s+a), giving operators in x, d and s that annihilate
+    the symbolic power.
     """
     n = base_arity(f)
-    arity = f.arity
-
     ne = n + 3  # t, x_1..x_n, u, v
-    earity = 2 * ne + 1
-    t_slot, u_slot, v_slot = 0, n + 1, n + 2
-    dt_slot = ne + 1
+    arity = 2 * ne + 1
+    u_slot, v_slot, dt_slot = n + 1, n + 2, ne + 1
+    t, u, v, dt = (DiffOp.variable(k, arity)
+                   for k in (0, u_slot, v_slot, dt_slot))
 
-    def emb(alpha, beta=(), t=0, dt=0, u=0, v=0):
-        exp = [0] * earity
-        exp[t_slot] = t
-        exp[dt_slot] = dt
-        exp[u_slot] = u
-        exp[v_slot] = v
-        for i, a in enumerate(alpha):
-            exp[1 + i] = a
-        for i, b in enumerate(beta):
-            exp[ne + 2 + i] = b
-        return tuple(exp)
+    def lift(p):  # x-only p: t = 0 before x; u, v, s and the d's after
+        return DiffOp._raw({(0,) + e[:n] + (0,) * (ne + 3): c
+                            for e, c in p.terms.items()})
 
-    def embed_xpoly(p, extra_t=0, extra_dt=0, extra_u=0):
-        data = {}
-        for exp, coeff in p.terms.items():
-            data[emb(exp[:n], t=extra_t, dt=extra_dt, u=extra_u)] = coeff
-        return DiffOp._raw(data)
-
-    gens = []
-    g = DiffOp.monomial(emb((0,) * n, t=1)) - embed_xpoly(f, extra_u=1)
-    gens.append(g)
-    for i in range(n):
-        d_i = DiffOp.monomial(emb((0,) * n, beta=tuple(1 if j == i else 0 for j in range(n))))
-        gens.append(d_i + embed_xpoly(f.partial(i), extra_u=1, extra_dt=1))
-    gens.append(DiffOp.monomial(emb((0,) * n, u=1, v=1))
-                - DiffOp.monomial(emb((0,) * n)))
-
-    eorder = elimination_order(ne, (u_slot, v_slot), tie)
-    basis = buchberger_global(gens, eorder)
-
-    kept = []
-    du_slot, dv_slot = ne + 1 + u_slot, ne + 1 + v_slot
-    for g in basis:
-        if all(e[u_slot] == e[v_slot] == e[du_slot] == e[dv_slot] == 0
-               for e in g.terms):
-            kept.append(g)
-
-    out = []
-    for g in kept:
-        weights = {e[t_slot] - e[dt_slot] for e in g.terms}
+    gens = ([t - u * lift(f)]
+            + [DiffOp.variable(dt_slot + 1 + i, arity)
+               + u * lift(f.partial(i)) * dt for i in range(n)]
+            + [u * v - DiffOp.constant(1, arity)])
+    eliminated = (u_slot, v_slot, ne + 1 + u_slot, ne + 1 + v_slot)
+    order = operator_order(n, tie)
+    result = []
+    for g in buchberger_global(
+            gens, elimination_order(ne, (u_slot, v_slot), tie)):
+        if any(e[k] for e in g.terms for k in eliminated):
+            continue
+        weights = {e[0] - e[dt_slot] for e in g.terms}
         if len(weights) != 1:
             raise BfuncError("elimination produced a weight-inhomogeneous element")
         w = weights.pop()
-        if w > 0:
-            g = op_mul(DiffOp.monomial(emb((0,) * n, dt=w)), g)
-        elif w < 0:
-            g = op_mul(DiffOp.monomial(emb((0,) * n, t=-w)), g)
-        out.append(_shift_to_s(g, n, t_slot, dt_slot, ne))
-
-    order = operator_order(n, tie)
-    seen, result = [], []
-    for g in out:
+        if w:  # times d_t^w, or t^(-w) when w < 0
+            g = DiffOp.variable(dt_slot if w > 0 else 0, arity, abs(w)) * g
+        g = _shift_to_s(g, n)
         if g.terms:
             g = g.monic(order)
-            if g.terms not in seen:
-                seen.append(g.terms)
+            if all(g.terms != r.terms for r in result):
                 result.append(g)
     _check_annihilates(result, f)
     return result
@@ -140,8 +112,7 @@ def _yano_generators(f):
     is 1 when f is smooth.
     """
     n, arity = base_arity(f), f.arity
-    kernel = nullspace([[Rational(a) for a in e[:n] + (-1,)]
-                        for e in f.terms], n + 1)
+    kernel = nullspace([e[:n] + (-1,) for e in f.terms], n + 1)
     if len(kernel) != 1 or not kernel[0][n]:
         return None
     w = [c / kernel[0][n] for c in kernel[0][:n]]
@@ -163,25 +134,20 @@ def _yano_generators(f):
     return gens
 
 
-def _shift_to_s(g, n, t_slot, dt_slot, ne):
-    """Rewrite a weight-zero element: t^a d_t^a -> (-1)^a (s+1)..(s+a)."""
+def _shift_to_s(g, n):
+    """Rewrite a weight-zero element of ann_fs's session in x, d and s:
+    t^a d_t^a -> (-1)^a (s+1)..(s+a).  t is slot 0 and d_t slot n + 4."""
     pairs = []
     for exp, coeff in g.terms.items():
-        a = exp[t_slot]
-        if exp[dt_slot] != a:
+        a = exp[0]
+        if exp[n + 4] != a:
             raise BfuncError("weight-zero element with unbalanced t, d_t powers")
-        # coefficients of (s+1)(s+2)...(s+a)
-        sprod = [1]
+        sprod = [1]  # coefficients of (-s-1)(-s-2)...(-s-a)
         for j in range(1, a + 1):
-            nxt = [0] * (len(sprod) + 1)
-            for k, c in enumerate(sprod):
-                nxt[k] += c * j
-                nxt[k + 1] += c
-            sprod = nxt
-        sign = -1 if a % 2 else 1
-        x_part, d_part = exp[1:1 + n], exp[ne + 2:ne + 2 + n]
+            sprod = [-j * c - d for c, d in zip(sprod + [0], [0] + sprod)]
+        x_part, d_part = exp[1:1 + n], exp[n + 5:2 * n + 5]
         for k, c in enumerate(sprod):
-            pairs.append((x_part + (k,) + d_part, coeff * (sign * c)))
+            pairs.append((x_part + (k,) + d_part, coeff * c))
     return DiffOp(pairs)
 
 

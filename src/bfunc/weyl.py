@@ -109,9 +109,7 @@ def ord_e(op):
 
 def in_e(op):
     """Initial part: the terms of maximal e-weight, as a commutative symbol."""
-    m = ord_e(op)
-    return SymbolPoly._raw(
-        {e: c for e, c in op.terms.items() if e_weight(e) == m})
+    return e_part(op, ord_e(op))
 
 
 def e_part(op, k, bound=math.inf):

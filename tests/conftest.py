@@ -7,6 +7,7 @@ and linear algebra through a second, stdlib-only elimination.
 """
 
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,26 @@ from bfunc.weyl import DiffOp
 @pytest.fixture
 def rng():
     return random.Random(20260814)
+
+
+@pytest.fixture
+def time_limit():
+    """Fail the test with TimeoutError once it has run for 60 s.
+
+    A division loop that never ends (Mora's loop need not terminate when
+    its ecart is wrong) then fails its test instead of hanging the suite.
+    The previous SIGALRM handler comes back afterwards.
+    """
+    def expire(signum, frame):
+        raise TimeoutError("test ran past its 60 s time limit")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def rand_exp(rng, arity, max_deg=3):

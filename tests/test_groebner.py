@@ -367,7 +367,7 @@ def rekeying_mora_div(p, divisors, order):
     return MoraResult(unit, quots, h)
 
 
-def test_mora_div_matches_rekeying_loop(monkeypatch):
+def test_mora_div_matches_rekeying_loop(monkeypatch, time_limit):
     # Every division Buchberger's loop makes on the corpus, plus the b(s)
     # certifications of find_generator (rejected candidates included), is
     # recorded and replayed through both loops, next to random dividends
@@ -426,7 +426,7 @@ def rescanning_reduce_global(p, divisors, order, mul=op_mul):
     return cls._raw(remainder)
 
 
-def test_reduce_global_matches_rescanning_loop(monkeypatch):
+def test_reduce_global_matches_rescanning_loop(monkeypatch, time_limit):
     # Every reduce_global call of the elimination in ann_fs, of Lazard's
     # homogenized Buchberger on the corpus and of the Jacobian bases that
     # the closed-form annihilator's gate computes is recorded and replayed

@@ -12,11 +12,11 @@ from bfunc.groebner import (MoraResult, buchberger_global, buchberger_mora,
 from bfunc.localb import (_yano_generators, ann_fs, approx_nf,
                           dependency_kernel, find_generator, local_b_function,
                           nf_table, rational_roots, verify_certificate)
-from bfunc.orders import operator_order
+from bfunc.orders import elimination_order, operator_order
 from bfunc.parser import parse_op, parse_poly
 from bfunc.printing import format_poly, format_univariate
 from bfunc.rationals import rat
-from bfunc.weyl import DiffOp, apply_to_fs, from_symbol
+from bfunc.weyl import DiffOp, apply_to_fs, base_arity, from_symbol, op_mul
 
 XYZ = ["x", "y", "z"]
 ORD3 = operator_order(3)
@@ -55,19 +55,124 @@ def test_ann_fs_matches_reference_generators():
         assert mora_div(g, gk.elements, ORD3).remainder.is_zero()
 
 
+ANN_CORPUS = [
+    ("x", ["x"]), ("x^2", ["x"]), ("x^3", ["x"]), ("1 + x", ["x"]),
+    ("x - x^3", ["x"]),
+    ("x*y", ["x", "y"]), ("x^2 + y^2", ["x", "y"]),
+    ("x*(x + y + 1)", ["x", "y"]), ("x^2 + y^3", ["x", "y"]),
+    ("x^2*y + y^2", ["x", "y"]),
+    ("x^2 + y^2 + z^2", XYZ), ("x*y*z", XYZ),
+]
+
+
 def test_ann_fs_annihilation_corpus():
-    corpus = [
-        ("x", ["x"]), ("x^2", ["x"]), ("x^3", ["x"]), ("1 + x", ["x"]),
-        ("x - x^3", ["x"]),
-        ("x*y", ["x", "y"]), ("x^2 + y^2", ["x", "y"]),
-        ("x*(x + y + 1)", ["x", "y"]), ("x^2 + y^3", ["x", "y"]),
-        ("x^2*y + y^2", ["x", "y"]),
-        ("x^2 + y^2 + z^2", XYZ), ("x*y*z", XYZ),
-    ]
-    for text, names in corpus:
+    for text, names in ANN_CORPUS:
         f = parse_poly(text, names)
         for g in ann_fs(f):
             assert apply_to_fs(g, f).is_zero(), (text, format_poly(g, names))
+
+
+def reference_ann_fs(f, tie="grevlex"):
+    """ann_fs as it was before it used the operator product: the session
+    exponents are assembled slot by slot and the eliminated basis is
+    filtered, shifted to weight zero and made monic in three passes."""
+    n = base_arity(f)
+    ne = n + 3  # t, x_1..x_n, u, v
+    earity = 2 * ne + 1
+    t_slot, u_slot, v_slot = 0, n + 1, n + 2
+    dt_slot = ne + 1
+
+    def emb(alpha, beta=(), t=0, dt=0, u=0, v=0):
+        exp = [0] * earity
+        exp[t_slot] = t
+        exp[dt_slot] = dt
+        exp[u_slot] = u
+        exp[v_slot] = v
+        for i, a in enumerate(alpha):
+            exp[1 + i] = a
+        for i, b in enumerate(beta):
+            exp[ne + 2 + i] = b
+        return tuple(exp)
+
+    def embed_xpoly(p, extra_t=0, extra_dt=0, extra_u=0):
+        data = {}
+        for exp, coeff in p.terms.items():
+            data[emb(exp[:n], t=extra_t, dt=extra_dt, u=extra_u)] = coeff
+        return DiffOp._raw(data)
+
+    gens = []
+    g = DiffOp.monomial(emb((0,) * n, t=1)) - embed_xpoly(f, extra_u=1)
+    gens.append(g)
+    for i in range(n):
+        d_i = DiffOp.monomial(
+            emb((0,) * n, beta=tuple(1 if j == i else 0 for j in range(n))))
+        gens.append(d_i + embed_xpoly(f.partial(i), extra_u=1, extra_dt=1))
+    gens.append(DiffOp.monomial(emb((0,) * n, u=1, v=1))
+                - DiffOp.monomial(emb((0,) * n)))
+
+    eorder = elimination_order(ne, (u_slot, v_slot), tie)
+    basis = buchberger_global(gens, eorder)
+
+    kept = []
+    du_slot, dv_slot = ne + 1 + u_slot, ne + 1 + v_slot
+    for g in basis:
+        if all(e[u_slot] == e[v_slot] == e[du_slot] == e[dv_slot] == 0
+               for e in g.terms):
+            kept.append(g)
+
+    out = []
+    for g in kept:
+        weights = {e[t_slot] - e[dt_slot] for e in g.terms}
+        assert len(weights) == 1
+        w = weights.pop()
+        if w > 0:
+            g = op_mul(DiffOp.monomial(emb((0,) * n, dt=w)), g)
+        elif w < 0:
+            g = op_mul(DiffOp.monomial(emb((0,) * n, t=-w)), g)
+        pairs = []
+        for exp, coeff in g.terms.items():
+            a = exp[t_slot]
+            assert exp[dt_slot] == a
+            sprod = [1]  # coefficients of (s+1)(s+2)...(s+a)
+            for j in range(1, a + 1):
+                nxt = [0] * (len(sprod) + 1)
+                for k, c in enumerate(sprod):
+                    nxt[k] += c * j
+                    nxt[k + 1] += c
+                sprod = nxt
+            sign = -1 if a % 2 else 1
+            x_part, d_part = exp[1:1 + n], exp[ne + 2:ne + 2 + n]
+            for k, c in enumerate(sprod):
+                pairs.append((x_part + (k,) + d_part, coeff * (sign * c)))
+        out.append(DiffOp(pairs))
+
+    order = operator_order(n, tie)
+    seen, result = [], []
+    for g in out:
+        if g.terms:
+            g = g.monic(order)
+            if g.terms not in seen:
+                seen.append(g.terms)
+                result.append(g)
+    return result
+
+
+@pytest.mark.parametrize("tie", ["grevlex", "grlex", "lex"])
+def test_ann_fs_matches_reference_implementation(tie, time_limit):
+    # The same generators, term for term and in the same insertion order,
+    # on the corpus, the two elimination inputs of the benchmark (one with
+    # seeded coefficients), a quasi-homogeneous surface and three curves.
+    inputs = ANN_CORPUS + [
+        ("x^2*(y + 1)^2*z^2", XYZ),
+        ("2*x^2*y^2*z^2 - 3*x^2*y*z^2 - 3*x^2*z^2", XYZ),
+        ("x^3 + x*y^2 + z^2", XYZ),
+        ("x^3 + y^7", ["x", "y"]), ("x^4 + y^6", ["x", "y"]),
+        ("x^5 + y^6", ["x", "y"]),
+    ]
+    for text, names in inputs:
+        f = parse_poly(text, names)
+        assert [list(g.terms.items()) for g in ann_fs(f, tie)] == \
+            [list(g.terms.items()) for g in reference_ann_fs(f, tie)], text
 
 
 # ------------------------------------------- closed-form annihilator (Yano)
