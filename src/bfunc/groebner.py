@@ -20,14 +20,26 @@ leading-exponent join, computed once when the pair is added (Gebauer and
 Moeller's selection bookkeeping, without their criteria).  Buchberger's
 coprimality shortcut is unsound for operator products and is never used; only
 the chain criterion prunes pairs.
+
+The loop takes its normaliser from its caller.  Mora's keeps every element
+monic, which its certificates rely on.  The global loop keeps every element
+primitive instead: int coefficients with gcd 1 and a positive lead.  Its
+S-pairs cross-multiply the two leads, and reduce_global pseudo-divides
+(Knuth, TAOCP vol. 2, 4.6.1): it scales the running dividend by the
+denominator of each quotient term rather than dividing, so the loop's
+arithmetic stays on ints.  Only the final interreduction makes the elements
+monic.
 """
 
 import heapq
+import math
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import InputError
 from .orders import MatrixOrder, _descending_key, homogenized_order
-from .sympoly import accumulate
+from .rationals import Rational
+from .sympoly import SymbolPoly, accumulate
 from .weyl import DiffOp, HomogOp, op_mul
 
 
@@ -51,10 +63,16 @@ def ecart(op, order):
     return op.max_total_degree() - sum(op.le(order))
 
 
-def _mono_quotient(h_lead, g_lead, cls):
-    (eh, ch), (eg, cg) = h_lead, g_lead
-    exp = tuple(a - b for a, b in zip(eh, eg))
-    return cls._raw({exp: ch / cg})
+def _mono(cls, top, low, coeff):
+    """coeff * x^(top - low), for exponents low <= top."""
+    return cls._raw({tuple(a - b for a, b in zip(top, low)): coeff})
+
+
+def _ratio(c, d):
+    """Numerator and denominator of c / d in lowest terms, as ints with the
+    denominator positive."""
+    q = Rational(c, d)
+    return q.numerator, q.denominator
 
 
 def _divides(a, b):
@@ -125,7 +143,7 @@ def mora_div(p, divisors, order):
             pool.append((h_lead, h_ecart, cls._raw(dict(h)),
                          (unit, list(quots))))
         # m is minus the quotient term, so every update below is a sum
-        m = _mono_quotient((he, -h_lead[1]), best[0], cls)
+        m = _mono(cls, he, best[0][0], Rational(-h_lead[1], best[0][1]))
         for e in _subtract(h, op_mul(m, best[2])):
             heapq.heappush(by_order, (_descending_key(order, e), e))
             heapq.heappush(by_degree, (-sum(e), e))
@@ -145,19 +163,43 @@ def _lcm_exp(a, b):
 
 
 def spair(p, q, order, mul=op_mul):
-    """S-pair: cross-multiply to the leading exponents' join and subtract."""
-    lp, lq = p.leading(order), q.leading(order)
-    join = (_lcm_exp(lp[0], lq[0]), 1)
-    return (mul(_mono_quotient(join, lp, p.__class__), p)
-            - mul(_mono_quotient(join, lq, q.__class__), q))
+    """S-pair: cross-multiply to the leading exponents' join and subtract.
+
+    With a/b = c_q/c_p in lowest terms for the leading coefficients, this is
+    a m_p p - b m_q q, where the monomials m_p and m_q lift the two leading
+    exponents to their join.  For int leads a = c_q/d and b = c_p/d with
+    d = gcd(c_p, c_q); for monic p and q both are 1."""
+    (ep, cp), (eq, cq) = p.leading(order), q.leading(order)
+    join = _lcm_exp(ep, eq)
+    a, b = _ratio(cq, cp)
+    return (mul(_mono(p.__class__, join, ep, a), p)
+            - mul(_mono(q.__class__, join, eq, b), q))
 
 
-def _buchberger_loop(gens, order, reduce_fn, mul, select_key):
-    """Shared Buchberger skeleton; reduce_fn maps an S-pair to a remainder."""
+def _primitive(op, order):
+    """Primitive integer multiple of a nonzero op: int coefficients with gcd
+    1 and a positive lead, its lead already kept, as monic keeps it."""
+    den = math.lcm(*(c.denominator for c in op.terms.values()))
+    ints = {e: c.numerator * (den // c.denominator)
+            for e, c in op.terms.items()}
+    exp, lead = op.leading(order)
+    content = math.gcd(*ints.values())
+    if lead < 0:
+        content = -content
+    data = {e: c // content for e, c in ints.items()}
+    copy = op.__class__._raw(data)
+    copy._lead = order, (exp, data[exp])
+    return copy
+
+
+def _buchberger_loop(gens, order, reduce_fn, mul, select_key, normal):
+    """Shared Buchberger skeleton; reduce_fn maps an S-pair to a remainder,
+    and normal(op, order) is the scalar multiple of a nonzero generator or
+    remainder that joins the basis."""
     basis = []
     for g in gens:
         if g.terms:
-            basis.append(g.monic(order))
+            basis.append(normal(g, order))
     if not basis:
         raise InputError("all generators are zero")
     leads = [g.le(order) for g in basis]
@@ -196,7 +238,7 @@ def _buchberger_loop(gens, order, reduce_fn, mul, select_key):
         r = reduce_fn(s, basis)
         if not r.terms:
             continue
-        r = r.monic(order)
+        r = normal(r, order)
         basis.append(r)
         leads.append(r.le(order))
         add_pairs(len(basis) - 1)
@@ -228,43 +270,66 @@ def buchberger_mora(gens, order):
         return mora_div(s, basis, order).remainder
 
     tie_key = MatrixOrder(rows=(), tie=order.tie, arity=order.arity).key
-    basis = _buchberger_loop(gens, order, reduce_fn, op_mul, tie_key)
+    basis = _buchberger_loop(gens, order, reduce_fn, op_mul, tie_key,
+                             SymbolPoly.monic)
     return GroebnerBasis(_minimalize(basis, order), order)
 
 
 def reduce_global(p, divisors, order, mul=op_mul):
-    """Full normal form under a well-order: every term ends up irreducible."""
+    """Full normal form under a well-order: every term ends up irreducible.
+
+    Pseudo-division: when the quotient term's coefficient a/b (in lowest
+    terms) is not an integer, the dividend h and the remainder so far are
+    multiplied by b first, so ints stay ints; the result is divided by the
+    product of those factors, so it is the exact normal form over Q."""
     leads = [g.leading(order) for g in divisors]
+    # short exponent vectors: one bit per nonzero slot.  A lead with a bit
+    # outside the leader's cannot divide it, so _divides is skipped.
+    bits = [1 << i for i in range(p.arity or 0)]
+    masks = [sum(compress(bits, eg)) for eg, _ in leads]
     cls = p.__class__
     remainder = {}
+    scale = 1
     # lazy max-heap over the exponents of h, kept as in mora_div
     h = dict(p.terms)
     heap = [(_descending_key(order, e), e) for e in p.terms]
     heapq.heapify(heap)
     while h:
         he = _top(heap, h)
-        for lead, g in zip(leads, divisors):
-            if _divides(lead[0], he):
-                m = _mono_quotient((he, -h[he]), lead, cls)
-                for e in _subtract(h, mul(m, g)):
+        outside = ~sum(compress(bits, he))
+        for (eg, cg), mask, g in zip(leads, masks, divisors):
+            if not mask & outside and _divides(eg, he):
+                a, b = _ratio(h[he], cg)
+                if b != 1:
+                    for e in h:
+                        h[e] *= b
+                    for e in remainder:
+                        remainder[e] *= b
+                    scale *= b
+                for e in _subtract(h, mul(_mono(cls, he, eg, -a), g)):
                     heapq.heappush(heap, (_descending_key(order, e), e))
                 break
         else:
             remainder[he] = h.pop(he)
+    if scale != 1:
+        remainder = {e: Rational(c, scale) for e, c in remainder.items()}
     return cls._raw(remainder)
 
 
 def buchberger_global(gens, order, mul=op_mul):
-    """Buchberger under a well-order, with a final full interreduction."""
+    """Buchberger under a well-order, with a final full interreduction.
+
+    The loop's elements are primitive; the interreduced ones are monic."""
     def reduce_fn(s, basis):
         return reduce_global(s, basis, order, mul)
 
-    basis = _buchberger_loop(gens, order, reduce_fn, mul, order.key)
-    # no lead divides another, so each element keeps its monic lead and the
-    # list keeps _minimalize's order
+    basis = _buchberger_loop(gens, order, reduce_fn, mul, order.key,
+                             _primitive)
+    # no lead divides another, so each element keeps its lead and the list
+    # keeps _minimalize's order
     basis = _minimalize(basis, order)
     return [reduce_global(g, basis[:i] + basis[i + 1:], order, mul)
-            for i, g in enumerate(basis)]
+            .monic(order) for i, g in enumerate(basis)]
 
 
 def _homogenize(op):

@@ -1,9 +1,13 @@
 """Exact rational coefficient backend.
 
-All coefficients in this package are arbitrary-precision rationals kept in
-lowest terms.  gmpy2 is used when present because its mpq type is several
-times faster than fractions.Fraction; both expose the same arithmetic and
-print identically.
+Coefficients in this package are arbitrary-precision rationals kept in
+lowest terms, with one exception: inside groebner.buchberger_global the
+basis elements and their S-pairs carry Python ints (primitive integer
+multiples), and become rationals again when the loop hands them out.  gmpy2
+is used when present because its mpq type is several times faster than
+fractions.Fraction; both expose the same arithmetic and print identically.
+Code that takes a coefficient apart uses only .numerator, .denominator and
+math.gcd/lcm, which both types and int support.
 """
 
 try:

@@ -218,6 +218,6 @@ class SymbolPoly:
     def monic(self, order):
         """Scaled copy with leading coefficient 1, its lead already kept."""
         exp, coeff = self.leading(order)
-        copy = self.scale(1 / coeff)
+        copy = self.scale(Rational(1, coeff))
         copy._lead = order, (exp, copy.terms[exp])
         return copy

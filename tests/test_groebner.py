@@ -1,17 +1,20 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from bfunc import groebner, localb
 from bfunc.errors import InputError
-from bfunc.groebner import (MoraResult, _divides, _homogenize,
+from bfunc.groebner import (MoraResult, _divides, _homogenize, _primitive,
                             buchberger_global, buchberger_mora, ecart,
                             groebner_lazard, mora_div, reduce_global, spair)
 from bfunc.localb import ann_fs
 from bfunc.orders import homogenized_order, operator_order
 from bfunc.parser import parse_op, parse_poly
-from bfunc.rationals import rat
-from bfunc.weyl import DiffOp, from_symbol, op_mul, ord_e
+from bfunc.rationals import Rational, rat
+from bfunc.sympoly import SymbolPoly
+from bfunc.weyl import DiffOp, HomogOp, from_symbol, op_mul, ord_e
 
 from conftest import rand_op
 
@@ -259,10 +262,10 @@ def test_buchberger_global_is_reduced(monkeypatch):
         assert_reduced(basis, order)
 
 
-def rescan_buchberger_loop(gens, order, reduce_fn, mul, select_key):
+def rescan_buchberger_loop(gens, order, reduce_fn, mul, select_key, normal):
     """Reference pair selection: rescan every open pair for the least
     (select_key(lcm), i, j), as the loop did before it kept a queue."""
-    basis = [g.monic(order) for g in gens if g.terms]
+    basis = [normal(g, order) for g in gens if g.terms]
     if not basis:
         raise InputError("all generators are zero")
     leads = [g.le(order) for g in basis]
@@ -289,7 +292,7 @@ def rescan_buchberger_loop(gens, order, reduce_fn, mul, select_key):
         r = reduce_fn(s, basis)
         if not r.terms:
             continue
-        basis.append(r.monic(order))
+        basis.append(normal(r, order))
         leads.append(basis[-1].le(order))
         pairs.update((i2, len(basis) - 1) for i2 in range(len(basis) - 1))
     return basis
@@ -417,7 +420,8 @@ def rescanning_reduce_global(p, divisors, order, mul=op_mul):
         ch = h.terms[he]
         for (eg, cg), g in zip(leads, divisors):
             if all(a <= b for a, b in zip(eg, he)):
-                m = cls._raw({tuple(a - b for a, b in zip(he, eg)): ch / cg})
+                m = cls._raw({tuple(a - b for a, b in zip(he, eg)):
+                              Rational(ch, cg)})
                 h = h - mul(m, g)
                 break
         else:
@@ -456,7 +460,116 @@ def test_reduce_global_matches_rescanning_loop(monkeypatch, time_limit):
     for p, divisors, order, mul in calls:
         got = reduce_global(p, divisors, order, mul)
         want = rescanning_reduce_global(p, divisors, order, mul)
-        assert (type(got), got.terms) == (type(want), want.terms)
+        assert exact(got) == exact(want)
+
+
+def exact(p):
+    """Type and terms of p, each coefficient as its numerator and
+    denominator: an int and a Fraction of one value agree, and a float,
+    which has neither, fails."""
+    return type(p), {e: (c.numerator, c.denominator)
+                     for e, c in p.terms.items()}
+
+
+def is_primitive(g, order):
+    coeffs = list(g.terms.values())
+    return (all(type(c) is int for c in coeffs)
+            and math.gcd(*coeffs) == 1 and g.leading(order)[1] > 0)
+
+
+def test_primitive():
+    order = homogenized_order(1)
+    p = HomogOp({(0, 0, 1, 0): rat(-2, 3), (1, 0, 0, 0): rat(4, 9),
+                 (0, 1, 0, 0): -8})
+    exp, lead = p.leading(order)
+    assert (exp, lead) == ((0, 1, 0, 0), -8)
+    g = _primitive(p, order)
+    assert type(g) is HomogOp and g.terms.keys() == p.terms.keys()
+    assert is_primitive(g, order)
+    # one positive rational factor takes p to g
+    assert {Fraction(g.terms[e]) / c for e, c in p.terms.items()} == \
+        {Fraction(-9, 2)}
+    # the lead is kept, as monic keeps it
+    assert g._lead == (order, (exp, 36))
+    assert _primitive(g, order).terms == g.terms
+
+
+def test_global_loop_appends_primitive_elements(monkeypatch):
+    # Every element Buchberger's loop appends, generators included, is
+    # primitive in the global loop and monic in Mora's.
+    seen = []
+    loop = groebner._buchberger_loop
+
+    def recording(gens, order, reduce_fn, mul, select_key, normal):
+        basis = loop(gens, order, reduce_fn, mul, select_key, normal)
+        seen.append((normal, basis, order))
+        return basis
+
+    monkeypatch.setattr(groebner, "_buchberger_loop", recording)
+    for gens, order in corpus_ideals():
+        buchberger_mora(gens, order)
+        groebner_lazard(gens, order)
+    monkeypatch.undo()
+    kinds = [normal for normal, _, _ in seen]
+    assert kinds.count(_primitive) > 10 and SymbolPoly.monic in kinds
+    for normal, basis, order in seen:
+        for g in basis:
+            if normal is _primitive:
+                assert is_primitive(g, order)
+            else:
+                assert g.leading(order)[1] == 1
+                assert all(type(c) is Fraction for c in g.terms.values())
+
+
+def test_buchberger_global_non_integral_generators(monkeypatch):
+    # Generators with coefficients such as 1/3 and 2/7 give the same monic
+    # basis as the monic reference run: the rescanning pair loop with a
+    # monic normaliser, whose reduce_global calls then have Fraction
+    # dividends and Fraction divisors and are checked against the
+    # rescanning division.
+    def skewed(gens):
+        out = [gens[0].scale(rat(1, 3))]
+        for g in gens[1:]:
+            out.append(g.scale(rat(-2, 7)) + out[0].scale(rat(5, 3)))
+        return out
+
+    ideals = []
+    for gens, order in corpus_ideals():
+        n = (order.arity - 1) // 2
+        hgens = [_homogenize(g) for g in gens]
+        ideals.append((hgens, skewed(hgens), homogenized_order(n, order.tie)))
+    got = [buchberger_global(gs, order) for _, gs, order in ideals]
+    plain = [buchberger_global(gs, order) for gs, _, order in ideals]
+
+    calls = []
+
+    def monic_loop(gens, order, reduce_fn, mul, select_key, normal):
+        return rescan_buchberger_loop(gens, order, reduce_fn, mul,
+                                      select_key, SymbolPoly.monic)
+
+    def recording(p, divisors, order, mul=op_mul):
+        calls.append((p, list(divisors), order, mul))
+        return reduce_global(p, divisors, order, mul)
+
+    monkeypatch.setattr(groebner, "_buchberger_loop", monic_loop)
+    monkeypatch.setattr(groebner, "reduce_global", recording)
+    want = [buchberger_global(gs, order) for _, gs, order in ideals]
+    monkeypatch.undo()
+
+    def typed(bases):
+        return [[(type(g), g.terms, {type(c) for c in g.terms.values()})
+                 for g in basis] for basis in bases]
+
+    assert typed(got) == typed(want) == typed(plain)
+    assert all(t == {Fraction} for b in typed(got) for _, _, t in b)
+    assert len(calls) > 50
+    for p, divisors, order, mul in calls:
+        assert all(type(c) is Fraction
+                   for q in [p] + divisors for c in q.terms.values())
+        got = reduce_global(p, divisors, order, mul)
+        assert all(type(c) is Fraction for c in got.terms.values())
+        assert exact(got) == exact(rescanning_reduce_global(
+            p, divisors, order, mul))
 
 
 def test_division_leaves_operands_unchanged(monkeypatch):

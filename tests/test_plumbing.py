@@ -99,10 +99,33 @@ def _is_dividend(node):
     return isinstance(node, ast.Name) and node.id == "h"
 
 
+def _is_rescale(loop):
+    """The one loop over h allowed: pseudo-division's in-place
+    multiplication of every term by one name,
+
+        for e in h:
+            h[e] *= b
+
+    which reads no exponent's key, degree or coefficient."""
+    if not (isinstance(loop, ast.For) and isinstance(loop.iter, ast.Name)
+            and isinstance(loop.target, ast.Name)
+            and len(loop.body) == 1 and not loop.orelse):
+        return False
+    stmt = loop.body[0]
+    return (isinstance(stmt, ast.AugAssign) and isinstance(stmt.op, ast.Mult)
+            and isinstance(stmt.target, ast.Subscript)
+            and _is_dividend(stmt.target.value)
+            and isinstance(stmt.target.slice, ast.Name)
+            and stmt.target.slice.id == loop.target.id
+            and isinstance(stmt.value, ast.Name)
+            and stmt.value.id not in ("h", loop.target.id))
+
+
 def _dividend_scans(source, name, funcs=("mora_div", "reduce_global")):
     """Places in the division loops that scan their running dividend h:
     a max( call, or a loop, comprehension or whole-collection call over h.
-    Copying h whole (dict(h)) is not a scan."""
+    Copying h whole (dict(h)) is not a scan, and neither is the rescale
+    _is_rescale accepts."""
     found = []
     for node in ast.walk(ast.parse(source, name)):
         if not (isinstance(node, ast.FunctionDef) and node.name in funcs):
@@ -110,7 +133,7 @@ def _dividend_scans(source, name, funcs=("mora_div", "reduce_global")):
         for sub in ast.walk(node):
             where = f"{name}:{node.name}:{getattr(sub, 'lineno', '?')}"
             if isinstance(sub, (ast.For, ast.comprehension)) and \
-                    _is_dividend(sub.iter):
+                    _is_dividend(sub.iter) and not _is_rescale(sub):
                 found.append(f"{where} loops over h")
             elif isinstance(sub, ast.Call) and _callee(sub) in SCANS and (
                     _callee(sub) == "max"
@@ -132,6 +155,22 @@ def test_division_loops_keep_leaders_in_heaps():
              "    pool = dict(h)\n"
              "def other(h):\n    return max(h)\n")
     assert len(_dividend_scans(probe, "probe.py")) == 5
+    # pseudo-division's rescale passes; a leader or ecart scan dressed up
+    # beside it, or a multiply that reads a term's key, does not
+    rescale = "    for e in h:\n        h[e] *= b\n"
+    scans = ["    for e in h:\n        if keys[e] > best:\n"
+             "            best = keys[e]\n",
+             "    for e in h:\n        h[e] *= b\n        top = e\n",
+             "    for e in h:\n        h[e] *= keys[e]\n",
+             "    for e in h.items():\n        h[e] *= b\n",
+             "    for e in h:\n        h[e] *= h\n",
+             "    for e in h:\n        h[e] += b\n",
+             "    top = max(sum(e) for e in h)\n"]
+    assert _dividend_scans(f"def reduce_global(p):\n{rescale}", "probe.py") \
+        == []
+    for scan in scans:
+        probe = f"def reduce_global(p):\n{rescale}{scan}"
+        assert len(_dividend_scans(probe, "probe.py")) >= 1, scan
 
 
 MUTATORS = {"pop", "popitem", "update", "clear", "setdefault"}

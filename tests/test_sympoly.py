@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from bfunc.orders import elimination_order, operator_order, series_order
 from bfunc.parser import parse_op, parse_poly
 from bfunc.rationals import rat
 from bfunc.sympoly import SymbolPoly
+from bfunc.weyl import DiffOp
 
 X = ["x"]
 LO1 = series_order(3)
@@ -202,6 +204,16 @@ def test_leading_keys_terms_once_per_order():
     other.keyed.clear()
     assert m.leading(other) == max_lead(m, OP1)
     assert len(other.keyed) == len(m.terms)
+
+
+def test_monic_divides_int_coefficients_exactly():
+    # 1/3 as a float is inexact, and scale would turn it into a Fraction
+    # near, not equal to, 1/3
+    ints = {(0, 0, 2): 3, (1, 0, 0): 2, (3, 0, 0): -5}
+    m = DiffOp._raw(dict(ints)).monic(OP1)
+    assert m.leading(OP1) == ((0, 0, 2), 1)
+    assert m.terms == {e: Fraction(c, 3) for e, c in ints.items()}
+    assert all(type(c) is Fraction for c in m.terms.values())
 
 
 @settings(deadline=None, max_examples=200)
