@@ -19,27 +19,33 @@ order from a heap queue, where key is the selection key of the pair's
 leading-exponent join, computed once when the pair is added (Gebauer and
 Moeller's selection bookkeeping, without their criteria).  Buchberger's
 coprimality shortcut is unsound for operator products and is never used; only
-the chain criterion prunes pairs.
+the chain criterion prunes pairs, and a bitmask of each lead's nonzero slots
+spares it most divisibility tests.
 
 The loop takes its normaliser from its caller.  Mora's keeps every element
 monic, which its certificates rely on.  The global loop keeps every element
 primitive instead: int coefficients with gcd 1 and a positive lead.  Its
-S-pairs cross-multiply the two leads, and reduce_global pseudo-divides
-(Knuth, TAOCP vol. 2, 4.6.1): it scales the running dividend by the
-denominator of each quotient term rather than dividing, so the loop's
-arithmetic stays on ints.  Only the final interreduction makes the elements
-monic.
+S-pairs cross-multiply the two leads.
+
+Both divisions pseudo-divide (Knuth, TAOCP vol. 2, 4.6.1): they scale the
+running dividend by the denominator of each quotient term rather than
+dividing, so their arithmetic stays on ints, and divide by the product of
+those factors once, at exit.  reduce_global's normal form and mora_div's
+unit, quotients and remainder are therefore the exact ones over Q.  In the
+global loop the elements stay primitive until the final interreduction makes
+them monic; Mora's loop makes each remainder monic, so its basis is the same
+as with division over Q.
 """
 
 import heapq
-import math
 from dataclasses import dataclass
 from itertools import compress
 
 from .errors import InputError
 from .orders import MatrixOrder, _descending_key, homogenized_order
 from .rationals import Rational
-from .sympoly import SymbolPoly, accumulate
+from .sympoly import (SymbolPoly, _divided, _integral, _primitive,
+                      _rescale, accumulate)
 from .weyl import DiffOp, HomogOp, op_mul
 
 
@@ -105,11 +111,17 @@ def mora_div(p, divisors, order):
     monomial no divisor's leading monomial divides.  The remainder tail is
     not reduced.  Buchberger's loop reads only the remainder; the unit and
     quotients certify b(s) in find_generator.
+
+    The loop pseudo-divides on ints, as reduce_global does.  It divides by
+    primitive copies k_i g_i of the divisors and starts from lam p, lam the
+    lcm of p's denominators; h, the unit and the quotients hold lam times
+    those of division over Q.  Where the quotient term's coefficient a/b is
+    not an int, all of them and lam are multiplied by b first.  The leader,
+    the ecart and the pool order read exponents only, so the steps are those
+    over Q, and one division by lam at exit gives its exact relation.
     """
     divisors = list(divisors)
     cls = p.__class__
-    unit = cls.constant(1, order.arity)
-    quots = [cls.zero() for _ in divisors]
     # pool entries: (leading, ecart, op, origin)
     # origin: divisor index, or the (unit, quotients) snapshot for a partial
     # remainder of p itself.
@@ -118,19 +130,23 @@ def mora_div(p, divisors, order):
         if g.is_zero():
             raise InputError("zero divisor")
         pool.append((g.leading(order), ecart(g, order), g, i))
+    # k_i, set when divisor i is first chosen and its pool entry becomes
+    # the primitive copy
+    factors = [None] * len(divisors)
 
     # Lazy max-heaps over the exponents of h, by order and by total degree
     # (for the ecart): an exponent is pushed when a subtraction brings it
     # into h, and an entry whose exponent has left h is dropped when it
     # reaches the top.
-    h = dict(p.terms)
+    lam, h = _integral(p.terms)
+    unit = {(0,) * order.arity: lam}
+    quots = [{} for _ in divisors]
     by_order = [(_descending_key(order, e), e) for e in p.terms]
     by_degree = [(-sum(e), e) for e in p.terms]
     heapq.heapify(by_order)
     heapq.heapify(by_degree)
     while h:
         he = _top(by_order, h)
-        h_lead = (he, h[he])
         best = None
         for entry in pool:
             if _divides(entry[0][0], he):
@@ -140,22 +156,40 @@ def mora_div(p, divisors, order):
             break
         h_ecart = sum(_top(by_degree, h)) - sum(he)
         if best[1] > h_ecart:
-            pool.append((h_lead, h_ecart, cls._raw(dict(h)),
-                         (unit, list(quots))))
+            pool.append(((he, h[he]), h_ecart, cls._raw(dict(h)),
+                         (cls._raw(dict(unit)),
+                          [cls._raw(dict(q)) for q in quots])))
+        prov = best[3]
+        if isinstance(prov, int) and factors[prov] is None:
+            prim = _primitive(best[2], order)
+            factors[prov] = Rational(prim.leading(order)[1], best[0][1])
+            best = pool[prov] = (prim.leading(order), best[1], prim, prov)
+        a, b = _ratio(-h[he], best[0][1])
+        if b != 1:
+            for e in h:
+                h[e] *= b
+            for d in [unit] + quots:
+                _rescale(d, b)
+            lam *= b
         # m is minus the quotient term, so every update below is a sum
-        m = _mono(cls, he, best[0][0], Rational(-h_lead[1], best[0][1]))
+        m = _mono(cls, he, best[0][0], a)
         for e in _subtract(h, op_mul(m, best[2])):
             heapq.heappush(by_order, (_descending_key(order, e), e))
             heapq.heappush(by_degree, (-sum(e), e))
-        prov = best[3]
         if isinstance(prov, int):
-            quots[prov] = quots[prov] - m
+            accumulate(quots[prov], (-m).terms.items())
         else:
             u_s, q_s = prov
-            unit = unit + op_mul(m, u_s)
-            quots = [q + op_mul(m, qs) if qs.terms else q
-                     for q, qs in zip(quots, q_s)]
-    return MoraResult(unit, quots, cls._raw(h))
+            accumulate(unit, op_mul(m, u_s).terms.items())
+            for q, qs in zip(quots, q_s):
+                if qs.terms:
+                    accumulate(q, op_mul(m, qs).terms.items())
+    return MoraResult(
+        _divided(cls, unit, lam),
+        [cls._raw(q) if k is None
+         else _divided(cls, q, lam * k.denominator, k.numerator)
+         for q, k in zip(quots, factors)],
+        _divided(cls, h, lam))
 
 
 def _lcm_exp(a, b):
@@ -176,22 +210,6 @@ def spair(p, q, order, mul=op_mul):
             - mul(_mono(q.__class__, join, eq, b), q))
 
 
-def _primitive(op, order):
-    """Primitive integer multiple of a nonzero op: int coefficients with gcd
-    1 and a positive lead, its lead already kept, as monic keeps it."""
-    den = math.lcm(*(c.denominator for c in op.terms.values()))
-    ints = {e: c.numerator * (den // c.denominator)
-            for e, c in op.terms.items()}
-    exp, lead = op.leading(order)
-    content = math.gcd(*ints.values())
-    if lead < 0:
-        content = -content
-    data = {e: c // content for e, c in ints.items()}
-    copy = op.__class__._raw(data)
-    copy._lead = order, (exp, data[exp])
-    return copy
-
-
 def _buchberger_loop(gens, order, reduce_fn, mul, select_key, normal):
     """Shared Buchberger skeleton; reduce_fn maps an S-pair to a remainder,
     and normal(op, order) is the scalar multiple of a nonzero generator or
@@ -203,6 +221,10 @@ def _buchberger_loop(gens, order, reduce_fn, mul, select_key, normal):
     if not basis:
         raise InputError("all generators are zero")
     leads = [g.le(order) for g in basis]
+    # short exponent vectors, as in reduce_global: a lead with a bit outside
+    # the join's cannot divide it, so the chain test skips _divides
+    bits = [1 << i for i in range(len(leads[0]))]
+    masks = [sum(compress(bits, e)) for e in leads]
 
     # (select_key(lcm), i, j, lcm) per open pair; (key, i, j) is unique, so
     # the heap never compares two lcms and pops in (key, i, j) order.
@@ -221,8 +243,10 @@ def _buchberger_loop(gens, order, reduce_fn, mul, select_key, normal):
         # chain criterion: some k already paired off against both i and j
         # inside the join.
         skip = False
+        outside = ~sum(compress(bits, lcm_ij))
         for k in range(len(basis)):
-            if k in (i, j) or not _divides(leads[k], lcm_ij):
+            if (k in (i, j) or masks[k] & outside
+                    or not _divides(leads[k], lcm_ij)):
                 continue
             a = (min(i, k), max(i, k))
             b = (min(j, k), max(j, k))
@@ -241,6 +265,7 @@ def _buchberger_loop(gens, order, reduce_fn, mul, select_key, normal):
         r = normal(r, order)
         basis.append(r)
         leads.append(r.le(order))
+        masks.append(sum(compress(bits, leads[-1])))
         add_pairs(len(basis) - 1)
     return basis
 
@@ -303,8 +328,7 @@ def reduce_global(p, divisors, order, mul=op_mul):
                 if b != 1:
                     for e in h:
                         h[e] *= b
-                    for e in remainder:
-                        remainder[e] *= b
+                    _rescale(remainder, b)
                     scale *= b
                 for e in _subtract(h, mul(_mono(cls, he, eg, -a), g)):
                     heapq.heappush(heap, (_descending_key(order, e), e))
@@ -312,7 +336,7 @@ def reduce_global(p, divisors, order, mul=op_mul):
         else:
             remainder[he] = h.pop(he)
     if scale != 1:
-        remainder = {e: Rational(c, scale) for e, c in remainder.items()}
+        return _divided(cls, remainder, scale)
     return cls._raw(remainder)
 
 

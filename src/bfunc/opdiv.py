@@ -7,14 +7,20 @@ quotients are multiplied back with the full divisors and subtracted.  The
 bound starts at the requested accuracy plus the sum of the per-level losses
 M_k and shrinks by M_k after each level, so the final remainder agrees with
 an exact division below the requested accuracy.
+
+As in the series division, the running remainder and the quotients are kept
+as ints, integer multiples of the exact ones, and divided by their common
+scale once at exit, so the result is exact over Q.
 """
 
+import math
 from dataclasses import dataclass
 
 from .errors import InputError
 from .orders import operator_order, series_order
 from .staircase import series_approx_div
-from .weyl import DiffOp, e_part, from_symbol, in_e, op_mul, ord_e
+from .sympoly import _divided, _integral, _primitives, _rescale, accumulate
+from .weyl import DiffOp, e_part, in_e, op_mul, ord_e
 
 
 @dataclass(frozen=True)
@@ -72,6 +78,7 @@ def op_approx_div(p, divisors, bound, order=None):
     if order is None:
         order = operator_order(n)
     sorder = series_order(arity, order.tie)
+    divisors, factors = _primitives(divisors, order)
     initials = [in_e(g) for g in divisors]
 
     top = ord_e(p)
@@ -79,8 +86,13 @@ def op_approx_div(p, divisors, bound, order=None):
     cur = bound + sum(losses)
     initial_bound = cur
 
-    quotients = [DiffOp.zero() for _ in divisors]
-    remainder = p
+    # Pseudo-division, as in series_approx_div: the quotients (of the
+    # primitive divisors k_i g_i) and the remainder hold scale times those
+    # of division over Q, as ints.  A level whose inner quotients are not
+    # all ints is scaled by the lcm of their denominators.
+    scale, data = _integral(p.terms)
+    remainder = DiffOp._raw(data)
+    quotients = [{} for _ in divisors]
     schedule = []
     for k in range(top, -1, -1):
         schedule.append((k, losses[k], cur))
@@ -88,10 +100,21 @@ def op_approx_div(p, divisors, bound, order=None):
         if part.terms:
             # the cut keeps degrees < cur, so divide through cur - 1 inclusive
             inner = series_approx_div(part, initials, sorder, cur - 1)
+            den = math.lcm(*(c.denominator for q in inner.quotients
+                             for c in q.terms.values()))
+            if den != 1:
+                for q in quotients:
+                    _rescale(q, den)
+                remainder = DiffOp._raw(_integral(remainder.terms, den)[1])
+                scale *= den
             for i, q in enumerate(inner.quotients):
                 if q.terms:
-                    ql = from_symbol(q)
-                    quotients[i] = quotients[i] + ql
+                    ql = DiffOp._raw(_integral(q.terms, den)[1])
+                    accumulate(quotients[i], ql.terms.items())
                     remainder = remainder - op_mul(ql, divisors[i])
         cur -= losses[k]
-    return OpDivisionResult(quotients, remainder, bound, initial_bound, schedule)
+    return OpDivisionResult(
+        [_divided(DiffOp, q, scale * f.denominator, f.numerator)
+         for q, f in zip(quotients, factors)],
+        _divided(DiffOp, remainder.terms, scale), bound, initial_bound,
+        schedule)

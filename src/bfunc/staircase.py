@@ -7,12 +7,20 @@ holds everything never dominated.  Division by leading terms is then a
 term-local lookup, and the series division loop repeatedly replaces the
 divided part with the correction coming from the divisor tails until the
 running difference has minimum total degree above the requested bound.
+
+The loop pseudo-divides on ints: it divides by primitive integer multiples of
+the divisors, keeps an integer multiple of the running difference, quotients
+and remainder, and scales them up where a quotient term would not be an int.
+One division by the accumulated scale at exit returns the exact rational
+result.
 """
 
+import math
 from dataclasses import dataclass
 
 from .errors import InputError
-from .sympoly import accumulate
+from .rationals import Rational
+from .sympoly import _divided, _integral, _primitives, _rescale, accumulate
 
 
 @dataclass(frozen=True)
@@ -52,7 +60,9 @@ def mono_div(f, leads, partition):
     must be built from the same exponents in the same sequence.  Returns
     (quotients, remainder) with f = sum(q_i * lead_i) + remainder; each
     quotient contributes only inside its region and the remainder collects
-    the never-dominated terms.  The decomposition is unique.
+    the never-dominated terms.  The decomposition is unique.  A quotient
+    coefficient is an int where the lead coefficient divides the term's
+    exactly, and a Rational otherwise.
     """
     quotients = [{} for _ in leads]
     remainder = {}
@@ -63,7 +73,9 @@ def mono_div(f, leads, partition):
             remainder[exp] = coeff
         else:
             le, lc = leads[i]
-            quotients[i][tuple(a - b for a, b in zip(exp, le))] = coeff / lc
+            q, rem = divmod(coeff, lc)
+            quotients[i][tuple(a - b for a, b in zip(exp, le))] = \
+                Rational(coeff, lc) if rem else q
     cls = f.__class__
     return [cls._raw(q) for q in quotients], cls._raw(remainder)
 
@@ -98,17 +110,28 @@ def series_approx_div(f, divisors, order, bound):
         raise InputError("degree bound must not be negative")
     if len(order.rows) != 1 or any(w != -1 for w in order.rows[0]):
         raise InputError("series division expects the all--1 weight row order")
-    divisors = list(divisors)
+    divisors, factors = _primitives(list(divisors), order)
     leads = [g.leading(order) for g in divisors]
     rests = [g.rest(order) for g in divisors]
     partition = build_partition([e for e, _ in leads])
 
+    # Pseudo-division: diff, the quotients and the remainder hold scale
+    # times those of division over Q, as ints.  A round whose quotient
+    # terms are not all ints is scaled by the lcm of their denominators.
     cls = f.__class__
+    scale, data = _integral(f.terms)
+    diff = cls._raw(data)
     qbars = [{} for _ in divisors]
     rbar = {}
-    diff = f
     while diff.terms and diff.min_total_degree() <= bound:
         qs, r = mono_div(diff, leads, partition)
+        den = math.lcm(*(c.denominator for q in qs for c in q.terms.values()))
+        if den != 1:
+            for d in qbars + [rbar]:
+                _rescale(d, den)
+            scale *= den
+            qs = [cls._raw(_integral(q.terms, den)[1]) for q in qs]
+            r = cls._raw(_integral(r.terms, den)[1])
         for qbar, q in zip(qbars, qs):
             accumulate(qbar, q.terms.items())
         accumulate(rbar, r.terms.items())
@@ -117,5 +140,7 @@ def series_approx_div(f, divisors, order, bound):
             if q.terms and rest.terms:
                 accumulate(nxt, (q * rest).terms.items())
         diff = -cls._raw(nxt)
-    return ApproxDivisionResult([cls._raw(q) for q in qbars], cls._raw(rbar),
-                                diff, bound)
+    return ApproxDivisionResult(
+        [_divided(cls, q, scale * k.denominator, k.numerator)
+         for q, k in zip(qbars, factors)],
+        _divided(cls, rbar, scale), _divided(cls, diff.terms, scale), bound)

@@ -12,7 +12,9 @@ key a basis element's terms once, not once per reduction.
 accumulate() is the one place where a term whose coefficients sum to zero is
 deleted.  Arithmetic collects its terms through it, and division loops hold
 their running sums as private dicts changed only through it, wrapped once
-they are done.
+they are done.  The pseudo-dividing loops keep integer multiples of those
+sums: _integral and _primitive take coefficients to ints, and _divided
+brings them back to rationals at exit.
 """
 
 import math
@@ -37,6 +39,56 @@ def accumulate(data, items):
             else:
                 del data[exp]
     return data
+
+
+def _integral(terms, den=None):
+    """(d, ints): the dict of the ints d*c for the coefficients c of the
+    terms dict.  d defaults to the least d > 0 that makes them ints; a
+    given d must be a multiple of every denominator."""
+    if den is None:
+        den = math.lcm(*(c.denominator for c in terms.values()))
+    return den, {e: c.numerator * (den // c.denominator)
+                 for e, c in terms.items()}
+
+
+def _primitive(op, order):
+    """Primitive integer multiple of a nonzero op: int coefficients with gcd
+    1 and a positive lead, its lead already kept, as monic keeps it.  An op
+    that is primitive already is returned as it is."""
+    exp, lead = op.leading(order)
+    values = op.terms.values()
+    if lead > 0 and all(type(c) is int for c in values) \
+            and math.gcd(*values) == 1:
+        return op
+    _, ints = _integral(op.terms)
+    content = math.gcd(*ints.values())
+    if lead < 0:
+        content = -content
+    data = {e: c // content for e, c in ints.items()}
+    copy = op.__class__._raw(data)
+    copy._lead = order, (exp, data[exp])
+    return copy
+
+
+def _primitives(ops, order):
+    """The primitive copies k_i op_i of a list of nonzero ops, and the
+    factors k_i: a quotient by k_i op_i is 1/k_i times the one by op_i."""
+    copies = [_primitive(g, order) for g in ops]
+    return copies, [Rational(h.leading(order)[1], g.leading(order)[1])
+                    for h, g in zip(copies, ops)]
+
+
+def _rescale(data, b):
+    """Multiply every coefficient of the dict data by b in place."""
+    for e in data:
+        data[e] *= b
+
+
+def _divided(cls, data, den, num=1):
+    """The int coefficients of data times num/den, as exact rationals,
+    wrapped in cls: the one exit of the pseudo-dividing loops, which carry
+    an integer multiple of their rational result and divide once."""
+    return cls._raw({e: Rational(c * num, den) for e, c in data.items()})
 
 
 class SymbolPoly:

@@ -2,15 +2,20 @@ import random
 
 import pytest
 
+from bfunc import localb, opdiv
 from bfunc.errors import InputError
-from bfunc.opdiv import accuracy_schedule, op_approx_div
-from bfunc.orders import operator_order
-from bfunc.parser import parse_op
+from bfunc.groebner import buchberger_mora
+from bfunc.localb import ann_fs
+from bfunc.opdiv import OpDivisionResult, accuracy_schedule, op_approx_div
+from bfunc.orders import operator_order, series_order
+from bfunc.parser import parse_op, parse_poly
 from bfunc.printing import format_poly
-from bfunc.staircase import build_partition
-from bfunc.weyl import DiffOp, op_mul
+from bfunc.staircase import (ApproxDivisionResult, build_partition,
+                             series_approx_div)
+from bfunc.sympoly import SymbolPoly, accumulate
+from bfunc.weyl import DiffOp, e_part, from_symbol, in_e, op_mul, ord_e
 
-from conftest import rand_op
+from conftest import rand_op, rand_sympoly
 
 X = ["x"]
 
@@ -165,3 +170,133 @@ def test_remainder_prefix_off_staircase():
         part = build_partition([g.le(order) for g in divisors])
         for exp in res.remainder.truncate(bound).exps():
             assert part.classify(exp) is None
+
+
+# ------------------------------------------------- rational reference loops
+
+def fraction_series_approx_div(f, divisors, order, bound):
+    """series_approx_div as it was before pseudo-division: every quotient
+    term is divided by its lead coefficient over Q, with Fraction
+    coefficients throughout."""
+    divisors = list(divisors)
+    leads = [g.leading(order) for g in divisors]
+    rests = [g.rest(order) for g in divisors]
+    partition = build_partition([e for e, _ in leads])
+    cls = f.__class__
+    qbars = [{} for _ in divisors]
+    rbar = {}
+    diff = f
+    while diff.terms and diff.min_total_degree() <= bound:
+        qs = [{} for _ in divisors]
+        for exp, coeff in diff.terms.items():
+            i = partition.classify(exp)
+            if i is None:
+                accumulate(rbar, [(exp, coeff)])
+            else:
+                le, lc = leads[i]
+                qs[i][tuple(a - b for a, b in zip(exp, le))] = coeff / lc
+        nxt = {}
+        for qbar, q, rest in zip(qbars, qs, rests):
+            accumulate(qbar, q.items())
+            if q and rest.terms:
+                accumulate(nxt, (cls._raw(q) * rest).terms.items())
+        diff = -cls._raw(nxt)
+    return ApproxDivisionResult([cls._raw(q) for q in qbars], cls._raw(rbar),
+                                diff, bound)
+
+
+def fraction_op_approx_div(p, divisors, bound, order):
+    """op_approx_div as it was before pseudo-division, on the rational
+    series division above."""
+    divisors = list(divisors)
+    if p.is_zero():
+        return OpDivisionResult([DiffOp.zero() for _ in divisors],
+                                DiffOp.zero(), bound, bound, [])
+    sorder = series_order(p.arity, order.tie)
+    initials = [in_e(g) for g in divisors]
+    top = ord_e(p)
+    losses = accuracy_schedule(divisors, top, order)
+    cur = initial_bound = bound + sum(losses)
+    quotients = [DiffOp.zero() for _ in divisors]
+    remainder = p
+    schedule = []
+    for k in range(top, -1, -1):
+        schedule.append((k, losses[k], cur))
+        part = e_part(remainder, k, cur)
+        if part.terms:
+            inner = fraction_series_approx_div(part, initials, sorder, cur - 1)
+            for i, q in enumerate(inner.quotients):
+                if q.terms:
+                    ql = from_symbol(q)
+                    quotients[i] = quotients[i] + ql
+                    remainder = remainder - op_mul(ql, divisors[i])
+        cur -= losses[k]
+    return OpDivisionResult(quotients, remainder, bound, initial_bound,
+                            schedule)
+
+
+def exact(p):
+    """A polynomial's type and terms, each coefficient with its type."""
+    return type(p), {e: (type(c), c) for e, c in p.terms.items()}
+
+
+def test_op_approx_div_matches_rational_loop(monkeypatch, time_limit):
+    # Every approximate division of find_generator's normal forms on three
+    # bases (the normal crossing x^2*(y+1)^2*z^2, the cusp through
+    # local_b_function, and the curve 2*x^3 - 3*y^7 of the b(s) search
+    # benchmark) is recorded and replayed through both loops, next to random
+    # dividends with Fraction coefficients and divisors whose coefficients
+    # are not integral.  Each inner series division those make is replayed
+    # too, on Fraction copies of its int dividend and divisors.
+    rng = random.Random(29)
+    skewed = [[OP("2/3*dx + x*dx + 5/7*x")],
+              [OP("3/4*x*dx - 1/2*s"), OP("1/5*x^2")],
+              [OP("1/3*dx^2 + x*dx"), OP("7/2*s + x")], [OP("2*dx - 4/9")]]
+    calls = [(rand_op(rng, 1, terms=3, max_deg=3), rng.choice(skewed),
+              rng.randint(1, 6), operator_order(1)) for _ in range(40)]
+    inner = []
+
+    def recording(p, divisors, bound, order):
+        calls.append((p, list(divisors), bound, order))
+        return op_approx_div(p, divisors, bound, order)
+
+    def recording_series(f, divisors, order, bound):
+        inner.append((f, list(divisors), order, bound))
+        return series_approx_div(f, divisors, order, bound)
+
+    monkeypatch.setattr(localb, "op_approx_div", recording)
+    monkeypatch.setattr(opdiv, "series_approx_div", recording_series)
+    xyz, xy = ["x", "y", "z"], ["x", "y"]
+    f = parse_poly("x^2*(y + 1)^2*z^2", xyz)
+    localb.find_generator(
+        buchberger_mora(ann_fs(f) + [from_symbol(f)], operator_order(3)),
+        1, 64)
+    localb.local_b_function(parse_poly("x^2 + y^3", xy))
+    f = parse_poly("2*x^3 - 3*y^7", xy)
+    localb.find_generator(
+        buchberger_mora(ann_fs(f) + [from_symbol(f)], operator_order(2)),
+        2 * f.arity, 64)
+    monkeypatch.undo()
+    assert len(calls) > 40 + 40 and len(inner) > 100
+
+    for p, divisors, bound, order in calls:
+        got = op_approx_div(p, divisors, bound, order)
+        want = fraction_op_approx_div(p, divisors, bound, order)
+        assert [exact(q) for q in got.quotients] == \
+            [exact(q) for q in want.quotients]
+        assert exact(got.remainder) == exact(want.remainder)
+        assert got.schedule == want.schedule
+        assert got.initial_bound == want.initial_bound
+    for f, divisors, order, bound in inner + [
+            (rand_sympoly(rng, 3, terms=4, max_deg=3),
+             [SymbolPoly({e: c / 3 for e, c in g.terms.items()})
+              for g in rng.choice(skewed)], series_order(3), rng.randint(0, 5))
+            for _ in range(40)]:
+        rational = [SymbolPoly(g.terms) for g in divisors]
+        got = series_approx_div(f, divisors, order, bound)
+        want = fraction_series_approx_div(SymbolPoly(f.terms), rational,
+                                          order, bound)
+        assert [exact(q) for q in got.quotients] == \
+            [exact(q) for q in want.quotients]
+        assert exact(got.remainder) == exact(want.remainder)
+        assert exact(got.tail) == exact(want.tail)

@@ -7,6 +7,7 @@ from bfunc.errors import InputError
 from bfunc.orders import series_order
 from bfunc.parser import parse_poly
 from bfunc.printing import format_poly
+from bfunc.rationals import Rational
 from bfunc.staircase import build_partition, mono_div, series_approx_div
 from bfunc.sympoly import SymbolPoly
 
@@ -119,6 +120,17 @@ def test_mono_div_two_divisors():
     assert qs[0] == parse_poly("y", names)
     assert qs[1].is_zero()
     assert r == parse_poly("y", names)
+
+
+def test_mono_div_divides_exactly():
+    # int coefficients, as series division passes them: an exact quotient
+    # stays an int and any other is a Rational, never a float
+    part = build_partition([(1, 0, 0)])
+    f = SymbolPoly._raw({(1, 0, 0): 3, (2, 0, 0): 4, (0, 0, 1): 5})
+    qs, r = mono_div(f, [((1, 0, 0), 2)], part)
+    assert {e: (type(c), c) for e, c in qs[0].terms.items()} == {
+        (0, 0, 0): (Rational, Rational(3, 2)), (1, 0, 0): (int, 2)}
+    assert r.terms == {(0, 0, 1): 5}
 
 
 @settings(deadline=None, max_examples=200)
