@@ -39,9 +39,11 @@ as with division over Q.
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 
 from .errors import InputError
+from .opdiv import _OpDivisors
 from .orders import MatrixOrder, _descending_key, homogenized_order
 from .rationals import Rational
 from .sympoly import (SymbolPoly, _divided, _integral, _primitive,
@@ -62,6 +64,13 @@ class MoraResult:
 class GroebnerBasis:
     elements: list
     order: MatrixOrder
+
+    @cached_property
+    def _divisors(self):
+        """The elements prepared for op_approx_div under the order (the
+        primitive copies, their schedule data and initial parts), built on
+        the first division by the basis and kept as long as the basis."""
+        return _OpDivisors(self.elements, self.order)
 
 
 def ecart(op, order):

@@ -154,8 +154,9 @@ def _shift_to_s(g, n):
 # -- normal forms and the dependency search -----------------------------------
 
 def approx_nf(p, gb, bound):
-    """Approximate normal form: remainder of dividing p by the basis."""
-    return op_approx_div(p, gb.elements, bound, gb.order).remainder
+    """Approximate normal form: remainder of dividing p by the basis,
+    through the division set-up the basis keeps (GroebnerBasis._divisors)."""
+    return op_approx_div(p, gb._divisors, bound, gb.order).remainder
 
 
 @dataclass(frozen=True)
@@ -229,7 +230,13 @@ def find_generator(gb, n0, nmax):
     before it (linalg.add_column), and normal forms are pulled until one
     past the last ruled-out degree vanishes.  dependency_kernel then
     eliminates that table once more, and its single monic kernel vector, the
-    candidate, must equal the echelon's dependency.  Truncation degrees run
+    candidate, must equal the echelon's dependency.  That cross-check
+    repeats the echelon's work; it stays until the benchmark-only change on
+    ROADMAP.md (item 6) replaces the benchmark's linalg.nullspace.cells
+    counter, which perfbench/test_perfbench.py requires to be positive on
+    the b(s) search workload, with a count of echelon reductions.  All
+    normal forms divide through the one division set-up the basis keeps
+    (approx_nf).  Truncation degrees run
     from n0 up to nmax; n0 < 1 or n0 > nmax is an InputError.
     """
     _check_bounds(n0, nmax)

@@ -5,8 +5,10 @@ lowest terms, with one exception: the inner loops carry Python ints.  Inside
 groebner.buchberger_global the basis elements and their S-pairs are
 primitive integer multiples.  groebner.mora_div and reduce_global,
 staircase.series_approx_div and opdiv.op_approx_div keep integer multiples
-of their running dividend, quotients and remainder (pseudo-division).  Each
-becomes rational again, by one division, when it is handed out.  gmpy2 is
+of their running dividend, quotients and remainder (pseudo-division), and
+linalg.add_column keeps its columns and pivots as ints (fraction-free
+elimination).  Each becomes rational again, by one division, when it is
+handed out.  gmpy2 is
 used when present because its mpq type is several times faster than
 fractions.Fraction; both expose the same arithmetic and print identically.
 Code that takes a coefficient apart uses only .numerator, .denominator and

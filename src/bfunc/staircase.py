@@ -12,7 +12,10 @@ The loop pseudo-divides on ints: it divides by primitive integer multiples of
 the divisors, keeps an integer multiple of the running difference, quotients
 and remainder, and scales them up where a quotient term would not be an int.
 One division by the accumulated scale at exit returns the exact rational
-result.
+result.  The divisor side of that (primitive copies, leading terms, tails
+and partition) is built once per divisor list in a _SeriesDivisors; the
+operator division keeps one for the initial parts of a basis, as long as
+the basis lives, and hands it to every series division it makes.
 """
 
 import math
@@ -94,13 +97,42 @@ class ApproxDivisionResult:
     degree_bound: int
 
 
+class _SeriesDivisors:
+    """series_approx_div's set-up of one divisor list under one order.
+
+    It holds the primitive copies k_i g_i and the factors k_i, their leading
+    terms and tails, and the staircase partition of the leading exponents;
+    iterating gives the divisors as they were given.  series_approx_div
+    builds one per call from a plain list.  opdiv._OpDivisors builds one for
+    the initials of its divisors and hands it to every series division it
+    makes, so it lives as long as the prepared basis that holds it.
+    """
+
+    __slots__ = ("given", "order", "factors", "leads", "rests", "partition")
+
+    def __init__(self, divisors, order):
+        if len(order.rows) != 1 or any(w != -1 for w in order.rows[0]):
+            raise InputError(
+                "series division expects the all--1 weight row order")
+        self.given = tuple(divisors)
+        self.order = order
+        copies, self.factors = _primitives(list(self.given), order)
+        self.leads = [g.leading(order) for g in copies]
+        self.rests = [g.rest(order) for g in copies]
+        self.partition = build_partition([e for e, _ in self.leads])
+
+    def __iter__(self):
+        return iter(self.given)
+
+
 def series_approx_div(f, divisors, order, bound):
     """Approximate division of f by divisors in the power-series sense.
 
     Parameters
     ----------
     f : SymbolPoly
-    divisors : sequence of SymbolPoly, all nonzero
+    divisors : sequence of SymbolPoly, all nonzero, or a _SeriesDivisors
+        prepared under this same order object
     order : MatrixOrder whose single weight row is all -1 (lower total degree
         is larger), so leading terms sit at minimal total degree
     bound : the loop keeps dividing while the running difference still has a
@@ -108,12 +140,10 @@ def series_approx_div(f, divisors, order, bound):
     """
     if bound < 0:
         raise InputError("degree bound must not be negative")
-    if len(order.rows) != 1 or any(w != -1 for w in order.rows[0]):
-        raise InputError("series division expects the all--1 weight row order")
-    divisors, factors = _primitives(list(divisors), order)
-    leads = [g.leading(order) for g in divisors]
-    rests = [g.rest(order) for g in divisors]
-    partition = build_partition([e for e, _ in leads])
+    if not (isinstance(divisors, _SeriesDivisors) and divisors.order is order):
+        divisors = _SeriesDivisors(divisors, order)
+    leads, rests = divisors.leads, divisors.rests
+    partition = divisors.partition
 
     # Pseudo-division: diff, the quotients and the remainder hold scale
     # times those of division over Q, as ints.  A round whose quotient
@@ -121,7 +151,7 @@ def series_approx_div(f, divisors, order, bound):
     cls = f.__class__
     scale, data = _integral(f.terms)
     diff = cls._raw(data)
-    qbars = [{} for _ in divisors]
+    qbars = [{} for _ in leads]
     rbar = {}
     while diff.terms and diff.min_total_degree() <= bound:
         qs, r = mono_div(diff, leads, partition)
@@ -142,5 +172,5 @@ def series_approx_div(f, divisors, order, bound):
         diff = -cls._raw(nxt)
     return ApproxDivisionResult(
         [_divided(cls, q, scale * k.denominator, k.numerator)
-         for q, k in zip(qbars, factors)],
+         for q, k in zip(qbars, divisors.factors)],
         _divided(cls, rbar, scale), _divided(cls, diff.terms, scale), bound)

@@ -152,3 +152,23 @@ CORPUS = [
 
 def corpus():
     return corpus_polys(CORPUS)
+
+
+# The b(s) search benchmark's three curves, with their coefficients at seed 1
+BSEARCH_SEED_1 = ("3*x^3 + 2*y^7", "-3*x^4 + 2*y^6", "x^5 - y^6")
+
+
+def bsearch_bases():
+    """Fresh Mora bases of the b(s) search benchmark's curves at seed 1,
+    built as the benchmark builds them: a list of (f, basis)."""
+    from bfunc.groebner import buchberger_mora
+    from bfunc.localb import ann_fs
+    from bfunc.orders import operator_order
+    from bfunc.parser import parse_poly
+    from bfunc.weyl import from_symbol
+    out = []
+    for text in BSEARCH_SEED_1:
+        f = parse_poly(text, ["x", "y"])
+        out.append((f, buchberger_mora(ann_fs(f) + [from_symbol(f)],
+                                       operator_order(2))))
+    return out

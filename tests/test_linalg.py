@@ -1,10 +1,13 @@
+import math
 import operator
 import random
 
+from bfunc import localb
 from bfunc.linalg import add_column, nullspace
 from bfunc.rationals import Rational, rat
+from bfunc.sympoly import accumulate
 
-from conftest import fraction_rank
+from conftest import bsearch_bases, fraction_rank
 
 
 def test_single_nonzero_vector():
@@ -117,20 +120,24 @@ def test_nullspace_matches_gauss_jordan():
         assert_exact_basis([[rat(rng.randint(-3, 3), rng.randint(1, 4))
                              for _ in range(ncols)] for _ in range(nrows)],
                            ncols)
-    # tall sparse tables shaped like the b(s) search's: one row per exponent
-    # of the truncated normal forms, one column per power of s
+    for rows, ncols in tall_sparse_tables(rng):
+        assert_exact_basis(rows, ncols)
+
+
+def tall_sparse_tables(rng):
+    """Tables shaped like the b(s) search's: one row per exponent of the
+    truncated normal forms, one column per power of s.  Each comes as is
+    and with a last column that depends on the others."""
     for _ in range(20):
         nrows, ncols = rng.randint(20, 40), rng.randint(4, 10)
         rows = [[rat(rng.randint(-9, 9), rng.randint(1, 8))
                  if rng.random() < 0.2 else rat(0) for _ in range(ncols)]
                 for _ in range(nrows)]
-        assert_exact_basis(rows, ncols)
-        # a last column that depends on the others
+        yield rows, ncols
         weights = [rat(rng.randint(-3, 3), rng.randint(1, 3))
                    for _ in range(ncols - 1)]
-        dependent = [row[:-1] + [sum(map(operator.mul, weights, row[:-1]),
-                                     rat(0))] for row in rows]
-        assert_exact_basis(dependent, ncols)
+        yield [row[:-1] + [sum(map(operator.mul, weights, row[:-1]), rat(0))]
+               for row in rows], ncols
 
 
 def test_add_column_dependency():
@@ -146,3 +153,70 @@ def test_add_column_dependency():
     # column 2 = 2 * column 0 - 4 * column 1
     assert found[2] == [rat(-2), rat(4), rat(1)]
     assert len(pivots) == 3
+
+
+def fraction_add_column(pivots, column, index):
+    """add_column as it was before it eliminated on ints: every pivot is
+    scaled to a 1 at its row and the column is reduced over Q."""
+    column = dict(column)
+    combination = {index: Rational(1)}
+    for row, reduced, comb in pivots:
+        c = column.get(row)
+        if c:
+            accumulate(column, ((k, -c * v) for k, v in reduced.items()))
+            accumulate(combination, ((j, -c * v) for j, v in comb.items()))
+    if column:
+        row = next(iter(column))
+        inv = Rational(1) / column[row]
+        pivots.append((row, {k: v * inv for k, v in column.items()},
+                       {j: v * inv for j, v in combination.items()}))
+        return None
+    return [combination.get(j, Rational(0)) for j in range(index + 1)]
+
+
+def assert_same_echelon(columns):
+    """add_column and the Fraction reference, fed the same columns, find
+    the same dependencies (exact Rationals) and the same pivots, each kept
+    by add_column as a primitive int vector: its reduced column and
+    combination together have gcd 1 and a positive entry at the row."""
+    pivots, want_pivots = [], []
+    for j, column in enumerate(columns):
+        got = add_column(pivots, column, j)
+        assert got == fraction_add_column(want_pivots, column, j)
+        assert got is None or all(type(c) is Rational for c in got)
+        assert len(pivots) == len(want_pivots)
+    for (row, reduced, comb), (want_row, want_reduced, want_comb) in zip(
+            pivots, want_pivots):
+        values = list(reduced.values()) + list(comb.values())
+        assert all(type(v) is int for v in values)
+        assert math.gcd(*values) == 1 and reduced[row] > 0
+        # the same vectors up to the scale of the pivot entry
+        assert row == want_row
+        assert {k: Rational(v, reduced[row]) for k, v in reduced.items()} \
+            == want_reduced
+        assert {j: Rational(v, reduced[row]) for j, v in comb.items()} \
+            == want_comb
+
+
+def test_add_column_matches_fraction_elimination(monkeypatch):
+    rng = random.Random(67)
+    for rows, ncols in tall_sparse_tables(rng):
+        assert_same_echelon([{i: row[j] for i, row in enumerate(rows)
+                              if row[j]} for j in range(ncols)])
+    # every table find_generator builds on the b(s) search benchmark's
+    # three bases at seed 1, one per truncation degree
+    tables = []
+
+    def recording(pivots, column, index):
+        if index == 0:
+            tables.append([])
+        tables[-1].append(column)
+        return add_column(pivots, column, index)
+
+    monkeypatch.setattr(localb, "add_column", recording)
+    for f, gb in bsearch_bases():
+        localb.find_generator(gb, 2 * f.arity, 64)
+    monkeypatch.undo()
+    assert len(tables) >= 3 and sum(map(len, tables)) > 20
+    for columns in tables:
+        assert_same_echelon(columns)

@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from bfunc import localb, opdiv
+from bfunc import localb, opdiv, sympoly
 from bfunc.errors import InputError
 from bfunc.groebner import buchberger_mora
 from bfunc.localb import ann_fs
@@ -15,7 +16,7 @@ from bfunc.staircase import (ApproxDivisionResult, build_partition,
 from bfunc.sympoly import SymbolPoly, accumulate
 from bfunc.weyl import DiffOp, e_part, from_symbol, in_e, op_mul, ord_e
 
-from conftest import rand_op, rand_sympoly
+from conftest import bsearch_bases, rand_op, rand_sympoly
 
 X = ["x"]
 
@@ -300,3 +301,60 @@ def test_op_approx_div_matches_rational_loop(monkeypatch, time_limit):
             [exact(q) for q in want.quotients]
         assert exact(got.remainder) == exact(want.remainder)
         assert exact(got.tail) == exact(want.tail)
+
+
+def test_prepared_basis_divides_as_its_element_list(monkeypatch):
+    # approx_nf divides through the set-up the basis keeps; replayed with
+    # the plain list of its elements, every division of the chained normal
+    # forms on the b(s) search benchmark's bases, at two bounds, is the same
+    calls = []
+
+    def recording(p, divisors, bound, order):
+        calls.append((p, divisors, bound, order))
+        return op_approx_div(p, divisors, bound, order)
+
+    monkeypatch.setattr(localb, "op_approx_div", recording)
+    bases = [gb for _, gb in bsearch_bases()]
+    for gb in bases:
+        for bound in (4, 7):
+            list(itertools.islice(localb.s_power_nfs(gb, bound), 6))
+    monkeypatch.undo()
+    assert len(calls) == len(bases) * 2 * 6
+    for (p, divisors, bound, order), gb in zip(
+            calls, (gb for gb in bases for _ in range(12))):
+        assert divisors is gb._divisors and order is gb.order
+        assert list(divisors) == gb.elements
+        got = op_approx_div(p, divisors, bound, order)
+        want = op_approx_div(p, list(gb.elements), bound, order)
+        assert [exact(q) for q in got.quotients] == \
+            [exact(q) for q in want.quotients]
+        assert exact(got.remainder) == exact(want.remainder)
+        assert got.schedule == want.schedule
+        assert got.initial_bound == want.initial_bound
+
+
+def test_find_generator_prepares_the_basis_once(monkeypatch):
+    # every approximate division's set-up makes its primitive copies through
+    # sympoly._primitive: once per basis element and once per initial part,
+    # however many normal forms the search computes
+    f, gb = bsearch_bases()[0]
+    made, divisions = [], []
+    primitive = sympoly._primitive
+
+    def counting(op, order):
+        made.append(op)
+        return primitive(op, order)
+
+    def counting_division(*args):
+        divisions.append(args)
+        return op_approx_div(*args)
+
+    monkeypatch.setattr(sympoly, "_primitive", counting)
+    monkeypatch.setattr(localb, "op_approx_div", counting_division)
+    localb.find_generator(gb, 2 * f.arity, 64)
+    assert len(divisions) > 2 * len(gb.elements)
+    assert len(made) == 2 * len(gb.elements)
+    assert all(a is b for a, b in zip(made, gb.elements))
+    # the set-up lives as long as the basis
+    localb.find_generator(gb, 2 * f.arity, 64)
+    assert len(made) == 2 * len(gb.elements)
