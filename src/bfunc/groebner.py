@@ -22,19 +22,20 @@ coprimality shortcut is unsound for operator products and is never used; only
 the chain criterion prunes pairs, and a bitmask of each lead's nonzero slots
 spares it most divisibility tests.
 
-The loop takes its normaliser from its caller.  Mora's keeps every element
-monic, which its certificates rely on.  The global loop keeps every element
-primitive instead: int coefficients with gcd 1 and a positive lead.  Its
-S-pairs cross-multiply the two leads.
+Every element the loop appends, generators included, is primitive: int
+coefficients with gcd 1 and a positive lead.  Its S-pairs cross-multiply the
+two leads, and each strategy makes its final basis monic once, at exit.
 
 Both divisions pseudo-divide (Knuth, TAOCP vol. 2, 4.6.1): they scale the
 running dividend by the denominator of each quotient term rather than
 dividing, so their arithmetic stays on ints, and divide by the product of
-those factors once, at exit.  reduce_global's normal form and mora_div's
-unit, quotients and remainder are therefore the exact ones over Q.  In the
-global loop the elements stay primitive until the final interreduction makes
-them monic; Mora's loop makes each remainder monic, so its basis is the same
-as with division over Q.
+those factors once, at exit.  mora_div divides by the primitive copies
+sympoly._primitives makes of its divisors (inside Buchberger's loop, the
+elements themselves); reduce_global by the global loop's elements as they
+are.  reduce_global's normal form and mora_div's unit, quotients and
+remainder are therefore the exact ones over Q.  Mora's steps read exponents
+only and its remainder scales with its dividend, so its basis, made monic at
+exit, is the one a loop over Q with monic elements gives.
 """
 
 import heapq
@@ -46,7 +47,7 @@ from .errors import InputError
 from .opdiv import _OpDivisors
 from .orders import MatrixOrder, _descending_key, homogenized_order
 from .rationals import Rational
-from .sympoly import (SymbolPoly, _divided, _integral, _primitive,
+from .sympoly import (_divided, _integral, _primitive, _primitives,
                       _rescale, accumulate)
 from .weyl import DiffOp, HomogOp, op_mul
 
@@ -122,26 +123,25 @@ def mora_div(p, divisors, order):
     quotients certify b(s) in find_generator.
 
     The loop pseudo-divides on ints, as reduce_global does.  It divides by
-    primitive copies k_i g_i of the divisors and starts from lam p, lam the
-    lcm of p's denominators; h, the unit and the quotients hold lam times
-    those of division over Q.  Where the quotient term's coefficient a/b is
-    not an int, all of them and lam are multiplied by b first.  The leader,
-    the ecart and the pool order read exponents only, so the steps are those
+    the primitive copies k_i g_i that sympoly._primitives makes of all the
+    divisors up front (Buchberger's loop passes primitive elements, which
+    come back as they are), and starts from lam p, lam the lcm of p's
+    denominators; h, the unit and the quotients hold lam times those of
+    division over Q.  Where the quotient term's coefficient a/b is not an
+    int, all of them and lam are multiplied by b first.  The leader, the
+    ecart and the pool order read exponents only, so the steps are those
     over Q, and one division by lam at exit gives its exact relation.
     """
     divisors = list(divisors)
+    if any(g.is_zero() for g in divisors):
+        raise InputError("zero divisor")
+    divisors, factors = _primitives(divisors, order)
     cls = p.__class__
     # pool entries: (leading, ecart, op, origin)
     # origin: divisor index, or the (unit, quotients) snapshot for a partial
     # remainder of p itself.
-    pool = []
-    for i, g in enumerate(divisors):
-        if g.is_zero():
-            raise InputError("zero divisor")
-        pool.append((g.leading(order), ecart(g, order), g, i))
-    # k_i, set when divisor i is first chosen and its pool entry becomes
-    # the primitive copy
-    factors = [None] * len(divisors)
+    pool = [(g.leading(order), ecart(g, order), g, i)
+            for i, g in enumerate(divisors)]
 
     # Lazy max-heaps over the exponents of h, by order and by total degree
     # (for the ecart): an exponent is pushed when a subtraction brings it
@@ -169,15 +169,9 @@ def mora_div(p, divisors, order):
                          (cls._raw(dict(unit)),
                           [cls._raw(dict(q)) for q in quots])))
         prov = best[3]
-        if isinstance(prov, int) and factors[prov] is None:
-            prim = _primitive(best[2], order)
-            factors[prov] = Rational(prim.leading(order)[1], best[0][1])
-            best = pool[prov] = (prim.leading(order), best[1], prim, prov)
         a, b = _ratio(-h[he], best[0][1])
         if b != 1:
-            for e in h:
-                h[e] *= b
-            for d in [unit] + quots:
+            for d in [h, unit] + quots:
                 _rescale(d, b)
             lam *= b
         # m is minus the quotient term, so every update below is a sum
@@ -195,8 +189,7 @@ def mora_div(p, divisors, order):
                     accumulate(q, op_mul(m, qs).terms.items())
     return MoraResult(
         _divided(cls, unit, lam),
-        [cls._raw(q) if k is None
-         else _divided(cls, q, lam * k.denominator, k.numerator)
+        [_divided(cls, q, lam * k.denominator, k.numerator)
          for q, k in zip(quots, factors)],
         _divided(cls, h, lam))
 
@@ -219,14 +212,11 @@ def spair(p, q, order, mul=op_mul):
             - mul(_mono(q.__class__, join, eq, b), q))
 
 
-def _buchberger_loop(gens, order, reduce_fn, mul, select_key, normal):
-    """Shared Buchberger skeleton; reduce_fn maps an S-pair to a remainder,
-    and normal(op, order) is the scalar multiple of a nonzero generator or
-    remainder that joins the basis."""
-    basis = []
-    for g in gens:
-        if g.terms:
-            basis.append(normal(g, order))
+def _buchberger_loop(gens, order, reduce_fn, mul, select_key):
+    """Shared Buchberger skeleton; reduce_fn maps an S-pair to a remainder.
+    A nonzero generator or remainder joins the basis as its primitive
+    multiple."""
+    basis = [_primitive(g, order) for g in gens if g.terms]
     if not basis:
         raise InputError("all generators are zero")
     leads = [g.le(order) for g in basis]
@@ -271,9 +261,8 @@ def _buchberger_loop(gens, order, reduce_fn, mul, select_key, normal):
         r = reduce_fn(s, basis)
         if not r.terms:
             continue
-        r = normal(r, order)
-        basis.append(r)
-        leads.append(r.le(order))
+        basis.append(_primitive(r, order))
+        leads.append(basis[-1].le(order))
         masks.append(sum(compress(bits, leads[-1])))
         add_pairs(len(basis) - 1)
     return basis
@@ -299,14 +288,16 @@ def _minimalize(basis, order):
 
 
 def buchberger_mora(gens, order):
-    """Groebner basis under a local order via Mora-reduced Buchberger."""
+    """Groebner basis under a local order via Mora-reduced Buchberger.
+
+    The loop's elements are primitive; the minimal basis is made monic."""
     def reduce_fn(s, basis):
         return mora_div(s, basis, order).remainder
 
     tie_key = MatrixOrder(rows=(), tie=order.tie, arity=order.arity).key
-    basis = _buchberger_loop(gens, order, reduce_fn, op_mul, tie_key,
-                             SymbolPoly.monic)
-    return GroebnerBasis(_minimalize(basis, order), order)
+    basis = _buchberger_loop(gens, order, reduce_fn, op_mul, tie_key)
+    return GroebnerBasis([g.monic(order) for g in _minimalize(basis, order)],
+                         order)
 
 
 def reduce_global(p, divisors, order, mul=op_mul):
@@ -335,9 +326,8 @@ def reduce_global(p, divisors, order, mul=op_mul):
             if not mask & outside and _divides(eg, he):
                 a, b = _ratio(h[he], cg)
                 if b != 1:
-                    for e in h:
-                        h[e] *= b
-                    _rescale(remainder, b)
+                    for d in (h, remainder):
+                        _rescale(d, b)
                     scale *= b
                 for e in _subtract(h, mul(_mono(cls, he, eg, -a), g)):
                     heapq.heappush(heap, (_descending_key(order, e), e))
@@ -356,8 +346,7 @@ def buchberger_global(gens, order, mul=op_mul):
     def reduce_fn(s, basis):
         return reduce_global(s, basis, order, mul)
 
-    basis = _buchberger_loop(gens, order, reduce_fn, mul, order.key,
-                             _primitive)
+    basis = _buchberger_loop(gens, order, reduce_fn, mul, order.key)
     # no lead divides another, so each element keeps its lead and the list
     # keeps _minimalize's order
     basis = _minimalize(basis, order)

@@ -125,35 +125,33 @@ def op_approx_div(p, divisors, bound, order=None):
     initial_bound = cur
 
     # Pseudo-division, as in series_approx_div: the quotients (of the
-    # primitive divisors k_i g_i) and the remainder hold scale times those
-    # of division over Q, as ints.  A level whose inner quotients are not
-    # all ints is scaled by the lcm of their denominators.
-    scale, data = _integral(p.terms)
-    remainder = DiffOp._raw(data)
+    # primitive divisors k_i g_i) and the remainder, private dicts, hold
+    # scale times those of division over Q, as ints.  A level whose inner
+    # quotients are not all ints is scaled by the lcm of their denominators.
+    scale, remainder = _integral(p.terms)
     quotients = [{} for _ in divisors.given]
     schedule = []
     for k in range(top, -1, -1):
         schedule.append((k, losses[k], cur))
-        part = e_part(remainder, k, cur)
+        part = e_part(DiffOp._raw(remainder), k, cur)
         if part.terms:
             # the cut keeps degrees < cur, so divide through cur - 1 inclusive
             inner = series_approx_div(part, initials, initials.order, cur - 1)
             den = math.lcm(*(c.denominator for q in inner.quotients
                              for c in q.terms.values()))
             if den != 1:
-                for q in quotients:
-                    _rescale(q, den)
-                remainder = DiffOp._raw(_integral(remainder.terms, den)[1])
+                for d in quotients + [remainder]:
+                    _rescale(d, den)
                 scale *= den
             for q, g, acc in zip(inner.quotients, divisors.divisors,
                                  quotients):
                 if q.terms:
                     ql = DiffOp._raw(_integral(q.terms, den)[1])
                     accumulate(acc, ql.terms.items())
-                    remainder = remainder - op_mul(ql, g)
+                    accumulate(remainder, op_mul(-ql, g).terms.items())
         cur -= losses[k]
     return OpDivisionResult(
         [_divided(DiffOp, q, scale * f.denominator, f.numerator)
          for q, f in zip(quotients, divisors.factors)],
-        _divided(DiffOp, remainder.terms, scale), bound, initial_bound,
+        _divided(DiffOp, remainder, scale), bound, initial_bound,
         schedule)

@@ -262,9 +262,11 @@ def test_buchberger_global_is_reduced(monkeypatch):
         assert_reduced(basis, order)
 
 
-def rescan_buchberger_loop(gens, order, reduce_fn, mul, select_key, normal):
+def rescan_loop(gens, order, reduce_fn, mul, select_key, normal):
     """Reference pair selection: rescan every open pair for the least
-    (select_key(lcm), i, j), as the loop did before it kept a queue."""
+    (select_key(lcm), i, j), as the loop did before it kept a queue.
+    normal(op, order) is the multiple of a generator or remainder that
+    joins the basis."""
     basis = [normal(g, order) for g in gens if g.terms]
     if not basis:
         raise InputError("all generators are zero")
@@ -296,6 +298,11 @@ def rescan_buchberger_loop(gens, order, reduce_fn, mul, select_key, normal):
         leads.append(basis[-1].le(order))
         pairs.update((i2, len(basis) - 1) for i2 in range(len(basis) - 1))
     return basis
+
+
+def rescan_buchberger_loop(gens, order, reduce_fn, mul, select_key):
+    """rescan_loop keeping primitive elements, as _buchberger_loop does."""
+    return rescan_loop(gens, order, reduce_fn, mul, select_key, _primitive)
 
 
 def test_pair_queue_matches_rescan(monkeypatch):
@@ -358,7 +365,8 @@ def rekeying_mora_div(p, divisors, order):
         if best[1] > h_ecart:
             pool.append((h_lead, h_ecart, h, (unit, list(quots))))
         (eh, ch), (eg, cg) = h_lead, best[0]
-        m = cls._raw({tuple(a - b for a, b in zip(eh, eg)): ch / cg})
+        m = cls._raw({tuple(a - b for a, b in zip(eh, eg)):
+                      Rational(ch, cg)})
         h = h - op_mul(m, best[2])
         prov = best[3]
         if isinstance(prov, int):
@@ -376,10 +384,14 @@ def test_mora_div_matches_rekeying_loop(monkeypatch, time_limit):
     # recorded and replayed through both loops, next to random dividends
     # whose reduction needs a unit (x - x^2).  Each call is labelled by the
     # binding it came through: groebner's serves Buchberger's loop, localb's
-    # serves find_generator's certification.
+    # serves find_generator's certification.  The last pool's divisors are
+    # scaled by non-integral rationals, so their primitive copies' factors
+    # differ from 1.
     rng = random.Random(47)
     pools = [[OP("x - x^2")], [OP("(1 + x)*dx + x")],
-             [OP("dx^2 + x*dx + 1"), OP("s - x")], [OP("x*dx - s"), OP("x^2")]]
+             [OP("dx^2 + x*dx + 1"), OP("s - x")], [OP("x*dx - s"), OP("x^2")],
+             [OP("x - x^2").scale(rat(2, 3)),
+              OP("x*dx + 1").scale(rat(-5, 4))]]
     calls = [(rand_op(rng, 1, terms=3, max_deg=3), rng.choice(pools), ORD1,
               "random") for _ in range(40)]
 
@@ -496,29 +508,37 @@ def test_primitive():
 
 def test_global_loop_appends_primitive_elements(monkeypatch):
     # Every element Buchberger's loop appends, generators included, is
-    # primitive in the global loop and monic in Mora's.
+    # primitive, in Mora's loop as in the global one; both strategies return
+    # monic bases with Fraction coefficients.
     seen = []
     loop = groebner._buchberger_loop
 
-    def recording(gens, order, reduce_fn, mul, select_key, normal):
-        basis = loop(gens, order, reduce_fn, mul, select_key, normal)
-        seen.append((normal, basis, order))
+    def recording(gens, order, reduce_fn, mul, select_key):
+        basis = loop(gens, order, reduce_fn, mul, select_key)
+        seen.append((basis, order))
         return basis
 
     monkeypatch.setattr(groebner, "_buchberger_loop", recording)
-    for gens, order in corpus_ideals():
-        buchberger_mora(gens, order)
-        groebner_lazard(gens, order)
+    ideals = corpus_ideals()
+    bases = []
+    for gens, order in ideals:
+        bases.append((buchberger_mora(gens, order), order))
+        bases.append((groebner_lazard(gens, order), order))
     monkeypatch.undo()
-    kinds = [normal for normal, _, _ in seen]
-    assert kinds.count(_primitive) > 10 and SymbolPoly.monic in kinds
-    for normal, basis, order in seen:
-        for g in basis:
-            if normal is _primitive:
-                assert is_primitive(g, order)
-            else:
-                assert g.leading(order)[1] == 1
-                assert all(type(c) is Fraction for c in g.terms.values())
+    mora = [b for b, order in seen if any(order is o for _, o in ideals)]
+    assert len(mora) >= len(ideals) and len(seen) - len(mora) > 10
+    for basis, order in seen:
+        assert all(is_primitive(g, order) for g in basis)
+    for gb, order in bases:
+        for g in gb.elements:
+            assert g.leading(order)[1] == 1
+            assert all(type(c) is Fraction for c in g.terms.values())
+
+
+def typed(bases):
+    """Class, terms and coefficient types of each element of each basis."""
+    return [[(type(g), g.terms, {type(c) for c in g.terms.values()})
+             for g in basis] for basis in bases]
 
 
 def test_buchberger_global_non_integral_generators(monkeypatch):
@@ -526,26 +546,36 @@ def test_buchberger_global_non_integral_generators(monkeypatch):
     # basis as the monic reference run: the rescanning pair loop with a
     # monic normaliser, whose reduce_global calls then have Fraction
     # dividends and Fraction divisors and are checked against the
-    # rescanning division.
+    # rescanning division.  Mora's loop, which keeps primitive elements too,
+    # gives the monic reference's basis on the skewed generators, and on
+    # generators each scaled by a non-integral rational the unscaled basis.
     def skewed(gens):
         out = [gens[0].scale(rat(1, 3))]
         for g in gens[1:]:
             out.append(g.scale(rat(-2, 7)) + out[0].scale(rat(5, 3)))
         return out
 
+    corpus = corpus_ideals()
     ideals = []
-    for gens, order in corpus_ideals():
+    for gens, order in corpus:
         n = (order.arity - 1) // 2
         hgens = [_homogenize(g) for g in gens]
         ideals.append((hgens, skewed(hgens), homogenized_order(n, order.tie)))
     got = [buchberger_global(gs, order) for _, gs, order in ideals]
     plain = [buchberger_global(gs, order) for gs, _, order in ideals]
+    mora = [buchberger_mora(skewed(gens), order).elements
+            for gens, order in corpus]
+    scales = [rat(1, 3), rat(-2, 7), rat(5, 9), rat(-11, 4)]
+    assert typed([buchberger_mora([g.scale(c) for g, c in zip(gens, scales)],
+                                  order).elements for gens, order in corpus]) \
+        == typed([buchberger_mora(gens, order).elements
+                  for gens, order in corpus])
 
     calls = []
 
-    def monic_loop(gens, order, reduce_fn, mul, select_key, normal):
-        return rescan_buchberger_loop(gens, order, reduce_fn, mul,
-                                      select_key, SymbolPoly.monic)
+    def monic_loop(gens, order, reduce_fn, mul, select_key):
+        return rescan_loop(gens, order, reduce_fn, mul, select_key,
+                           SymbolPoly.monic)
 
     def recording(p, divisors, order, mul=op_mul):
         calls.append((p, list(divisors), order, mul))
@@ -554,14 +584,13 @@ def test_buchberger_global_non_integral_generators(monkeypatch):
     monkeypatch.setattr(groebner, "_buchberger_loop", monic_loop)
     monkeypatch.setattr(groebner, "reduce_global", recording)
     want = [buchberger_global(gs, order) for _, gs, order in ideals]
+    monic_mora = [buchberger_mora(skewed(gens), order).elements
+                  for gens, order in corpus]
     monkeypatch.undo()
 
-    def typed(bases):
-        return [[(type(g), g.terms, {type(c) for c in g.terms.values()})
-                 for g in basis] for basis in bases]
-
     assert typed(got) == typed(want) == typed(plain)
-    assert all(t == {Fraction} for b in typed(got) for _, _, t in b)
+    assert typed(mora) == typed(monic_mora)
+    assert all(t == {Fraction} for b in typed(got + mora) for _, _, t in b)
     assert len(calls) > 50
     for p, divisors, order, mul in calls:
         assert all(type(c) is Fraction

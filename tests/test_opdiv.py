@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from bfunc import localb, opdiv, sympoly
+from bfunc import localb, opdiv, staircase, sympoly
 from bfunc.errors import InputError
 from bfunc.groebner import buchberger_mora
 from bfunc.localb import ann_fs
@@ -334,22 +334,23 @@ def test_prepared_basis_divides_as_its_element_list(monkeypatch):
 
 
 def test_find_generator_prepares_the_basis_once(monkeypatch):
-    # every approximate division's set-up makes its primitive copies through
-    # sympoly._primitive: once per basis element and once per initial part,
-    # however many normal forms the search computes
+    # the approximate divisions' set-up (opdiv's and staircase's) makes its
+    # primitive copies through sympoly._primitives: once per basis element
+    # and once per initial part, however many normal forms the search
+    # computes.  Mora certification's own copies are not counted.
     f, gb = bsearch_bases()[0]
     made, divisions = [], []
-    primitive = sympoly._primitive
 
-    def counting(op, order):
-        made.append(op)
-        return primitive(op, order)
+    def counting(ops, order):
+        made.extend(ops)
+        return sympoly._primitives(ops, order)
 
     def counting_division(*args):
         divisions.append(args)
         return op_approx_div(*args)
 
-    monkeypatch.setattr(sympoly, "_primitive", counting)
+    for module in (opdiv, staircase):
+        monkeypatch.setattr(module, "_primitives", counting)
     monkeypatch.setattr(localb, "op_approx_div", counting_division)
     localb.find_generator(gb, 2 * f.arity, 64)
     assert len(divisions) > 2 * len(gb.elements)

@@ -12,6 +12,8 @@ Every public function and method is used: by the library, by the acceptance
 tests or in README.md.
 Mora division and the global normal form never rescan their running
 dividend: its leader comes from a lazy heap.
+Both Buchberger loops keep primitive elements, and every division divides by
+the copies sympoly._primitives makes, so the shared loop takes no normaliser.
 """
 
 import ast
@@ -20,6 +22,7 @@ import re
 from pathlib import Path
 
 import bfunc
+from bfunc import groebner
 from bfunc.groebner import mora_div
 from bfunc.weyl import op_mul
 
@@ -63,6 +66,11 @@ def test_op_mul_takes_two_operands():
 
 def test_mora_div_takes_no_flags():
     assert str(inspect.signature(mora_div)) == "(p, divisors, order)"
+
+
+def test_buchberger_loop_takes_no_normaliser():
+    assert str(inspect.signature(groebner._buchberger_loop)) == \
+        "(gens, order, reduce_fn, mul, select_key)"
 
 
 def _term_deletions(path):
