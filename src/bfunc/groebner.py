@@ -39,9 +39,11 @@ exit, is the one a loop over Q with monic elements gives.
 """
 
 import heapq
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
+from operator import sub
 
 from .errors import InputError
 from .opdiv import _OpDivisors
@@ -81,12 +83,18 @@ def ecart(op, order):
 
 def _mono(cls, top, low, coeff):
     """coeff * x^(top - low), for exponents low <= top."""
-    return cls._raw({tuple(a - b for a, b in zip(top, low)): coeff})
+    return cls._raw({tuple(map(sub, top, low)): coeff})
 
 
 def _ratio(c, d):
     """Numerator and denominator of c / d in lowest terms, as ints with the
-    denominator positive."""
+    denominator positive.  Two ints go through math.gcd; any other
+    coefficient through Rational."""
+    if type(c) is int and type(d) is int:
+        g = math.gcd(c, d)
+        if d < 0:
+            g = -g
+        return c // g, d // g
     q = Rational(c, d)
     return q.numerator, q.denominator
 

@@ -137,16 +137,21 @@ def op_approx_div(p, divisors, bound, order=None):
         if part.terms:
             # the cut keeps degrees < cur, so divide through cur - 1 inclusive
             inner = series_approx_div(part, initials, initials.order, cur - 1)
-            den = math.lcm(*(c.denominator for q in inner.quotients
-                             for c in q.terms.values()))
+            # the inner quotient of in_e(k_i g_i) has the coefficients
+            # c a / b, c in its int dict and a/b its factor over the inner
+            # scale; den is the lcm of their denominators in lowest terms
+            qs = [(q, f.numerator, inner._scale * f.denominator)
+                  for q, f in zip(inner._qbars, inner._factors)]
+            den = math.lcm(*(b // math.gcd(b, c * a)
+                             for q, a, b in qs for c in q.values()))
             if den != 1:
                 for d in quotients + [remainder]:
                     _rescale(d, den)
                 scale *= den
-            for q, g, acc in zip(inner.quotients, divisors.divisors,
-                                 quotients):
-                if q.terms:
-                    ql = DiffOp._raw(_integral(q.terms, den)[1])
+            for (q, a, b), g, acc in zip(qs, divisors.divisors, quotients):
+                if q:
+                    a *= den
+                    ql = DiffOp._raw({e: c * a // b for e, c in q.items()})
                     accumulate(acc, ql.terms.items())
                     accumulate(remainder, op_mul(-ql, g).terms.items())
         cur -= losses[k]

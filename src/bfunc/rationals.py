@@ -10,8 +10,8 @@ by the global loop's primitive elements; all four keep integer multiples of
 their running dividend, quotients and remainder (pseudo-division), and
 linalg.add_column keeps its columns and pivots as ints (fraction-free
 elimination).  Each becomes rational again, by one division, when it is
-handed out.  gmpy2 is
-used when present because its mpq type is several times faster than
+handed out; the series division's results, when they are first read.
+gmpy2 is used when present because its mpq type is several times faster than
 fractions.Fraction; both expose the same arithmetic and print identically.
 Code that takes a coefficient apart uses only .numerator, .denominator and
 math.gcd/lcm, which both types and int support.

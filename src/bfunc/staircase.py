@@ -11,15 +11,18 @@ running difference has minimum total degree above the requested bound.
 The loop pseudo-divides on ints: it divides by primitive integer multiples of
 the divisors, keeps an integer multiple of the running difference, quotients
 and remainder, and scales them up where a quotient term would not be an int.
-One division by the accumulated scale at exit returns the exact rational
-result.  The divisor side of that (primitive copies, leading terms, tails
-and partition) is built once per divisor list in a _SeriesDivisors; the
-operator division keeps one for the initial parts of a basis, as long as
-the basis lives, and hands it to every series division it makes.
+Its result keeps those ints and the accumulated scale; one division by the
+scale gives the exact rationals when they are first read, and the operator
+division, which reads the ints, never builds them.  The divisor side of
+that (primitive copies, leading terms, tails and partition) is built once
+per divisor list in a _SeriesDivisors; the operator division keeps one for
+the initial parts of a basis, as long as the basis lives, and hands it to
+every series division it makes.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InputError
 from .rationals import Rational
@@ -83,18 +86,45 @@ def mono_div(f, leads, partition):
     return [cls._raw(q) for q in quotients], cls._raw(remainder)
 
 
-@dataclass(frozen=True)
 class ApproxDivisionResult:
     """Output of series division: f = sum(q_i g_i) + remainder + tail.
 
     The identity is exact; quotients and remainder are guaranteed only up to
     the degree bound, and the tail has minimum total degree > degree_bound.
+
+    series_approx_div hands over its pseudo-division as it ends, through
+    _pseudo: the int dicts _qbars, of _scale times the quotients of the
+    primitive divisors k_i g_i (k_i in _factors), and those of the
+    remainder and the tail, also times _scale.  The exact rational
+    quotients, remainder and tail are built from them when first read.
+    opdiv.op_approx_div reads the ints and never builds them.
     """
 
-    quotients: list
-    remainder: object
-    tail: object
-    degree_bound: int
+    def __init__(self, quotients, remainder, tail, degree_bound):
+        # given values shadow the cached properties, which never run then
+        vars(self).update(quotients=quotients, remainder=remainder, tail=tail)
+        self.degree_bound = degree_bound
+
+    @classmethod
+    def _pseudo(cls, poly_cls, qbars, rbar, tail, scale, factors, bound):
+        obj = object.__new__(cls)
+        obj._cls, obj._qbars, obj._rbar, obj._tail = poly_cls, qbars, rbar, tail
+        obj._scale, obj._factors = scale, factors
+        obj.degree_bound = bound
+        return obj
+
+    @cached_property
+    def quotients(self):
+        return [_divided(self._cls, q, self._scale * k.denominator, k.numerator)
+                for q, k in zip(self._qbars, self._factors)]
+
+    @cached_property
+    def remainder(self):
+        return _divided(self._cls, self._rbar, self._scale)
+
+    @cached_property
+    def tail(self):
+        return _divided(self._cls, self._tail, self._scale)
 
 
 class _SeriesDivisors:
@@ -170,7 +200,5 @@ def series_approx_div(f, divisors, order, bound):
             if q.terms and rest.terms:
                 accumulate(nxt, (q * rest).terms.items())
         diff = -cls._raw(nxt)
-    return ApproxDivisionResult(
-        [_divided(cls, q, scale * k.denominator, k.numerator)
-         for q, k in zip(qbars, divisors.factors)],
-        _divided(cls, rbar, scale), _divided(cls, diff.terms, scale), bound)
+    return ApproxDivisionResult._pseudo(cls, qbars, rbar, diff.terms, scale,
+                                        divisors.factors, bound)

@@ -72,9 +72,12 @@ def _primitive(op, order):
 
 def _primitives(ops, order):
     """The primitive copies k_i op_i of a list of nonzero ops, and the
-    factors k_i: a quotient by k_i op_i is 1/k_i times the one by op_i."""
+    factors k_i: a quotient by k_i op_i is 1/k_i times the one by op_i.
+    The factor of an op that is primitive already, its own copy, is the int
+    1; callers read only .numerator and .denominator."""
     copies = [_primitive(g, order) for g in ops]
-    return copies, [Rational(h.leading(order)[1], g.leading(order)[1])
+    return copies, [1 if h is g else
+                    Rational(h.leading(order)[1], g.leading(order)[1])
                     for h, g in zip(copies, ops)]
 
 

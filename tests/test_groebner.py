@@ -150,6 +150,20 @@ def test_spair_cancels_leads():
         assert ORD1.key(sp.le(ORD1)) < ORD1.key(lcm)
 
 
+def test_ratio_lowest_terms_positive_denominator():
+    # two ints go through math.gcd, anything else through Rational; both
+    # give ints in lowest terms with the sign on the numerator
+    cases = [(6, 4, (3, 2)), (-6, 4, (-3, 2)), (6, -4, (-3, 2)),
+             (-6, -4, (3, 2)), (0, 5, (0, 1)), (0, -5, (0, 1)),
+             (7, 1, (7, 1)), (-7, -1, (7, 1)), (1, -3, (-1, 3)),
+             (Fraction(3, 4), -6, (-1, 8)), (-10, Fraction(-5, 3), (6, 1)),
+             (Fraction(0), 2, (0, 1))]
+    for c, d, want in cases:
+        got = groebner._ratio(c, d)
+        assert got == want and all(type(v) is int for v in got)
+        assert Fraction(*got) == Fraction(c) / Fraction(d)
+
+
 # -------------------------------------------------------------- buchberger
 
 def test_gb_singletons():

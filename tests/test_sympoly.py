@@ -9,7 +9,7 @@ from bfunc.groebner import reduce_global
 from bfunc.orders import elimination_order, operator_order, series_order
 from bfunc.parser import parse_op, parse_poly
 from bfunc.rationals import rat
-from bfunc.sympoly import SymbolPoly
+from bfunc.sympoly import SymbolPoly, _primitives
 from bfunc.weyl import DiffOp
 
 X = ["x"]
@@ -249,3 +249,17 @@ def test_reduce_global_keys_no_divisor_twice():
     s3 = parse_op("s^3", names)
     assert reduce_global(s3, divisors, log) == s3
     assert log.keyed == [(0, 3, 0)]
+
+
+def test_primitives_factor_of_a_primitive_op_is_int_one():
+    # an op that is primitive already is its own copy, with the int 1 as
+    # its factor; any other gets a rational factor k with copy = k * op
+    order = operator_order(1)
+    ops = [DiffOp._raw({(1, 0, 1): 2, (0, 0, 0): -3}),
+           parse_op("4/3*x*dx - 2/9", X), parse_op("-2*x*dx + 6", X)]
+    copies, factors = _primitives(ops, order)
+    assert copies[0] is ops[0] and type(factors[0]) is int and factors[0] == 1
+    assert factors[1:] == [Fraction(9, 2), Fraction(-1, 2)]
+    for g, h, k in zip(ops, copies, factors):
+        assert h.terms == g.scale(k).terms
+        assert math.gcd(*h.terms.values()) == 1 and h.leading(order)[1] > 0

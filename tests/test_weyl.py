@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -191,16 +192,38 @@ def operator_pairs(draw):
     return cls(a), cls(b)
 
 
-@settings(deadline=None, max_examples=300)
-@given(operator_pairs())
+@st.composite
+def wide_operator_pairs(draw):
+    """Two operators in three base variables with exponents up to 4 and
+    int and Fraction coefficients, wrapped as the division loops wrap them.
+    Pairs overlap in one index with beta_i and gamma_i both >= 2 (the int
+    recurrence of op_mul walks k >= 2 and must never floor-divide a
+    coefficient) and in several indices."""
+    cls = draw(st.sampled_from([DiffOp, HomogOp]))
+    arity = 7 + (cls is HomogOp)
+    coeffs = st.one_of(st.integers(-3, 3),
+                       st.fractions(min_value=-3, max_value=3,
+                                    max_denominator=5))
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 4)] * arity),
+                            coeffs, max_size=4)
+    a, b = ({e: c for e, c in draw(terms).items() if c} for _ in range(2))
+    return cls._raw(a), cls._raw(b)
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.one_of(operator_pairs(), wide_operator_pairs()))
 @example((OP("x + dx"), OP("x - dx")))
 @example((HomogOp({(1, 0, 0, 0): 1, (0, 0, 1, 0): 1}),
           HomogOp({(1, 0, 0, 0): 1, (0, 0, 1, 0): -1})))
+@example((DiffOp({(0, 0, 0, 0, 3, 0, 0): Fraction(1, 3)}),
+          DiffOp({(4, 0, 0, 0, 0, 0, 0): Fraction(2, 5)})))
 def test_op_mul_matches_three_branch_product(pair):
+    # the same terms in the same order, with the same coefficient types
     a, b = pair
     got, want = op_mul(a, b), three_branch_op_mul(a, b)
     assert type(got) is type(want) is type(a)
-    assert got.terms == want.terms
+    assert [(e, c, type(c)) for e, c in got.terms.items()] == \
+        [(e, c, type(c)) for e, c in want.terms.items()]
     assert all(got.terms.values())
 
 
