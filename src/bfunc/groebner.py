@@ -26,16 +26,12 @@ Every element the loop appends, generators included, is primitive: int
 coefficients with gcd 1 and a positive lead.  Its S-pairs cross-multiply the
 two leads, and each strategy makes its final basis monic once, at exit.
 
-Both divisions pseudo-divide (Knuth, TAOCP vol. 2, 4.6.1): they scale the
-running dividend by the denominator of each quotient term rather than
-dividing, so their arithmetic stays on ints, and divide by the product of
-those factors once, at exit.  mora_div divides by the primitive copies
-sympoly._primitives makes of its divisors (inside Buchberger's loop, the
-elements themselves); reduce_global by the global loop's elements as they
-are.  reduce_global's normal form and mora_div's unit, quotients and
-remainder are therefore the exact ones over Q.  Mora's steps read exponents
-only and its remainder scales with its dividend, so its basis, made monic at
-exit, is the one a loop over Q with monic elements gives.
+Both divisions pseudo-divide by the rule in sympoly's docstring: mora_div by
+the primitive copies of a sympoly._Divisors (inside Buchberger's loop, the
+elements themselves), reduce_global by the global loop's elements as they
+are, so both results are exact over Q.  Mora's steps read exponents only and
+its remainder scales with its dividend, so its basis, made monic at exit, is
+the one a loop over Q with monic elements gives.
 """
 
 import heapq
@@ -49,8 +45,8 @@ from .errors import InputError
 from .opdiv import _OpDivisors
 from .orders import MatrixOrder, _descending_key, homogenized_order
 from .rationals import Rational
-from .sympoly import (_divided, _integral, _primitive, _primitives,
-                      _rescale, accumulate)
+from .sympoly import (_divided, _Divisors, _integral, _primitive, _rescale,
+                      accumulate)
 from .weyl import DiffOp, HomogOp, op_mul
 
 
@@ -70,9 +66,9 @@ class GroebnerBasis:
 
     @cached_property
     def _divisors(self):
-        """The elements prepared for op_approx_div under the order (the
-        primitive copies, their schedule data and initial parts), built on
-        the first division by the basis and kept as long as the basis."""
+        """The elements prepared under the order for every division by the
+        basis (an opdiv._OpDivisors, which mora_div takes as it is), built
+        on the first division and kept as long as the basis."""
         return _OpDivisors(self.elements, self.order)
 
 
@@ -130,26 +126,22 @@ def mora_div(p, divisors, order):
     not reduced.  Buchberger's loop reads only the remainder; the unit and
     quotients certify b(s) in find_generator.
 
-    The loop pseudo-divides on ints, as reduce_global does.  It divides by
-    the primitive copies k_i g_i that sympoly._primitives makes of all the
-    divisors up front (Buchberger's loop passes primitive elements, which
-    come back as they are), and starts from lam p, lam the lcm of p's
-    denominators; h, the unit and the quotients hold lam times those of
-    division over Q.  Where the quotient term's coefficient a/b is not an
+    The loop pseudo-divides on ints by the primitive copies of a
+    sympoly._Divisors, taking one prepared under this order, such as a
+    GroebnerBasis's _divisors, as it is.  It starts from lam p, lam the lcm
+    of p's denominators; h, the unit and the quotients hold lam times those
+    of division over Q.  Where the quotient term's coefficient a/b is not an
     int, all of them and lam are multiplied by b first.  The leader, the
     ecart and the pool order read exponents only, so the steps are those
     over Q, and one division by lam at exit gives its exact relation.
     """
-    divisors = list(divisors)
-    if any(g.is_zero() for g in divisors):
-        raise InputError("zero divisor")
-    divisors, factors = _primitives(divisors, order)
+    divisors = _Divisors.prepare(divisors, order)
     cls = p.__class__
     # pool entries: (leading, ecart, op, origin)
     # origin: divisor index, or the (unit, quotients) snapshot for a partial
     # remainder of p itself.
     pool = [(g.leading(order), ecart(g, order), g, i)
-            for i, g in enumerate(divisors)]
+            for i, g in enumerate(divisors.copies)]
 
     # Lazy max-heaps over the exponents of h, by order and by total degree
     # (for the ecart): an exponent is pushed when a subtraction brings it
@@ -157,7 +149,7 @@ def mora_div(p, divisors, order):
     # reaches the top.
     lam, h = _integral(p.terms)
     unit = {(0,) * order.arity: lam}
-    quots = [{} for _ in divisors]
+    quots = [{} for _ in divisors.copies]
     by_order = [(_descending_key(order, e), e) for e in p.terms]
     by_degree = [(-sum(e), e) for e in p.terms]
     heapq.heapify(by_order)
@@ -195,11 +187,9 @@ def mora_div(p, divisors, order):
             for q, qs in zip(quots, q_s):
                 if qs.terms:
                     accumulate(q, op_mul(m, qs).terms.items())
-    return MoraResult(
-        _divided(cls, unit, lam),
-        [_divided(cls, q, lam * k.denominator, k.numerator)
-         for q, k in zip(quots, factors)],
-        _divided(cls, h, lam))
+    return MoraResult(_divided(cls, unit, lam),
+                      divisors.quotients(cls, quots, lam),
+                      _divided(cls, h, lam))
 
 
 def _lcm_exp(a, b):

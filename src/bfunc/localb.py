@@ -235,9 +235,9 @@ def find_generator(gb, n0, nmax):
     ROADMAP.md (item 6) replaces the benchmark's linalg.nullspace.cells
     counter, which perfbench/test_perfbench.py requires to be positive on
     the b(s) search workload, with a count of echelon reductions.  All
-    normal forms divide through the one division set-up the basis keeps
-    (approx_nf).  Truncation degrees run
-    from n0 up to nmax; n0 < 1 or n0 > nmax is an InputError.
+    normal forms (approx_nf) and every certification divide through the one
+    division set-up the basis keeps (GroebnerBasis._divisors).  Truncation
+    degrees run from n0 up to nmax; n0 < 1 or n0 > nmax is an InputError.
     """
     _check_bounds(n0, nmax)
     d = 0
@@ -256,7 +256,7 @@ def find_generator(gb, n0, nmax):
             raise BfuncError("dependency kernel is not the echelon's single "
                              "monic vector")
         candidate = tuple(dependency)
-        cert = mora_div(_poly_in_s(candidate, gb.order.arity), gb.elements,
+        cert = mora_div(_poly_in_s(candidate, gb.order.arity), gb._divisors,
                         gb.order)
         if cert.remainder.is_zero():
             return candidate, bound, cert

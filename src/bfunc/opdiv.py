@@ -8,13 +8,10 @@ bound starts at the requested accuracy plus the sum of the per-level losses
 M_k and shrinks by M_k after each level, so the final remainder agrees with
 an exact division below the requested accuracy.
 
-As in the series division, the running remainder and the quotients are kept
-as ints, integer multiples of the exact ones, and divided by their common
-scale once at exit, so the result is exact over Q.
-
-Everything that depends only on the divisors and the order (their primitive
-copies, the schedule data, the series-division set-up of their initial
-parts) is built once per divisor list in an _OpDivisors.  A GroebnerBasis
+The running remainder and the quotients are kept as ints by the rule of
+sympoly._Divisors and divided by their common scale once at exit, so the
+result is exact over Q.  Everything that depends only on the divisors and
+the order is built once per divisor list in an _OpDivisors.  A GroebnerBasis
 keeps the one for its elements from its first division on, for as long as
 the basis lives; a plain list is prepared afresh on each call.
 """
@@ -25,7 +22,7 @@ from dataclasses import dataclass
 from .errors import InputError
 from .orders import operator_order, series_order
 from .staircase import _SeriesDivisors, series_approx_div
-from .sympoly import _divided, _integral, _primitives, _rescale, accumulate
+from .sympoly import _divided, _Divisors, _integral, _rescale, accumulate
 from .weyl import DiffOp, e_part, in_e, op_mul, ord_e
 
 
@@ -62,38 +59,30 @@ def _losses(levels, top):
     return out
 
 
-class _OpDivisors:
-    """op_approx_div's set-up of one divisor list under one order.
-
-    It holds the primitive copies k_i g_i and the factors k_i, the
-    (ord_e, |LE|) pairs behind the accuracy schedule, and the initial parts
-    in_e(k_i g_i) prepared for series_approx_div under the series order (a
-    staircase._SeriesDivisors); iterating gives the divisors as they were
-    given.  op_approx_div builds one per call from a plain list.  A
-    GroebnerBasis builds one for its elements on first use, which approx_nf
-    hands to every division by the basis; it lives as long as the basis.
+class _OpDivisors(_Divisors):
+    """op_approx_div's sympoly._Divisors: it adds the (ord_e, |LE|) pairs of
+    the copies behind the accuracy schedule, and their initial parts
+    in_e(k_i g_i) prepared for series_approx_div (a
+    staircase._SeriesDivisors).  Without an order it takes the standard one
+    for the divisors' arity.  A GroebnerBasis keeps one for its elements,
+    which every division by the basis takes.
     """
 
-    __slots__ = ("given", "order", "divisors", "factors", "levels",
-                 "initials")
+    __slots__ = ("levels", "initials")
 
     def __init__(self, divisors, order=None):
-        self.given = tuple(divisors)
-        if not self.given:
+        given = tuple(divisors)
+        if not given:
             raise InputError("at least one divisor is required")
-        if any(g.is_zero() for g in self.given):
-            raise InputError("divisors must be nonzero")
-        arity = self.given[0].arity
-        if order is None:
+        arity = given[0].arity
+        # a zero first divisor has no arity: the base rejects it before
+        # it reads the order
+        if order is None and arity is not None:
             order = operator_order((arity - 1) // 2)
-        self.order = order
-        self.divisors, self.factors = _primitives(list(self.given), order)
-        self.levels = [(ord_e(g), sum(g.le(order))) for g in self.divisors]
-        self.initials = _SeriesDivisors([in_e(g) for g in self.divisors],
+        super().__init__(given, order)
+        self.levels = [(ord_e(g), sum(g.le(order))) for g in self.copies]
+        self.initials = _SeriesDivisors([in_e(g) for g in self.copies],
                                         series_order(arity, order.tie))
-
-    def __iter__(self):
-        return iter(self.given)
 
 
 def op_approx_div(p, divisors, bound, order=None):
@@ -102,19 +91,16 @@ def op_approx_div(p, divisors, bound, order=None):
     Parameters
     ----------
     p : DiffOp
-    divisors : nonempty sequence of nonzero DiffOp, or an _OpDivisors
-        such as the one a GroebnerBasis keeps for its elements, prepared
-        under this same order object (or under any order when order is
-        None); one prepared under another order is prepared again
+    divisors : nonempty sequence of nonzero DiffOp, or an _OpDivisors such
+        as GroebnerBasis._divisors, used as it is when prepared under this
+        order object (under any order when order is None)
     bound : positive int, requested accuracy N
     order : operator division order; defaults to the standard one for the
         session arity with grevlex ties
     """
     if bound < 1:
         raise InputError("accuracy bound must be at least 1")
-    if not (isinstance(divisors, _OpDivisors)
-            and (order is None or order is divisors.order)):
-        divisors = _OpDivisors(divisors, order)
+    divisors = _OpDivisors.prepare(divisors, order)
     if p.is_zero():
         return OpDivisionResult([DiffOp.zero() for _ in divisors.given],
                                 DiffOp.zero(), bound, bound, [])
@@ -125,7 +111,7 @@ def op_approx_div(p, divisors, bound, order=None):
     initial_bound = cur
 
     # Pseudo-division, as in series_approx_div: the quotients (of the
-    # primitive divisors k_i g_i) and the remainder, private dicts, hold
+    # primitive copies k_i g_i) and the remainder, private dicts, hold
     # scale times those of division over Q, as ints.  A level whose inner
     # quotients are not all ints is scaled by the lcm of their denominators.
     scale, remainder = _integral(p.terms)
@@ -141,14 +127,14 @@ def op_approx_div(p, divisors, bound, order=None):
             # c a / b, c in its int dict and a/b its factor over the inner
             # scale; den is the lcm of their denominators in lowest terms
             qs = [(q, f.numerator, inner._scale * f.denominator)
-                  for q, f in zip(inner._qbars, inner._factors)]
+                  for q, f in zip(inner._qbars, initials.factors)]
             den = math.lcm(*(b // math.gcd(b, c * a)
                              for q, a, b in qs for c in q.values()))
             if den != 1:
                 for d in quotients + [remainder]:
                     _rescale(d, den)
                 scale *= den
-            for (q, a, b), g, acc in zip(qs, divisors.divisors, quotients):
+            for (q, a, b), g, acc in zip(qs, divisors.copies, quotients):
                 if q:
                     a *= den
                     ql = DiffOp._raw({e: c * a // b for e, c in q.items()})
@@ -156,7 +142,5 @@ def op_approx_div(p, divisors, bound, order=None):
                     accumulate(remainder, op_mul(-ql, g).terms.items())
         cur -= losses[k]
     return OpDivisionResult(
-        [_divided(DiffOp, q, scale * f.denominator, f.numerator)
-         for q, f in zip(quotients, divisors.factors)],
-        _divided(DiffOp, remainder, scale), bound, initial_bound,
-        schedule)
+        divisors.quotients(DiffOp, quotients, scale),
+        _divided(DiffOp, remainder, scale), bound, initial_bound, schedule)

@@ -3,14 +3,11 @@
 Coefficients in this package are arbitrary-precision rationals kept in
 lowest terms, with one exception: the inner loops carry Python ints.  Inside
 both Buchberger loops (Mora's and the global one) the basis elements and
-their S-pairs are primitive integer multiples.  groebner.mora_div,
-staircase.series_approx_div and opdiv.op_approx_div divide by the primitive
-copies sympoly._primitives makes of their divisors, and groebner.reduce_global
-by the global loop's primitive elements; all four keep integer multiples of
-their running dividend, quotients and remainder (pseudo-division), and
-linalg.add_column keeps its columns and pivots as ints (fraction-free
-elimination).  Each becomes rational again, by one division, when it is
-handed out; the series division's results, when they are first read.
+their S-pairs are primitive integer multiples.  The divisions pseudo-divide
+on ints, by the rule sympoly's docstring sets out, and linalg.add_column
+keeps its columns and pivots as ints (fraction-free elimination).  Each
+becomes rational again, by one division, when it is handed out; the series
+division's results, when they are first read.
 gmpy2 is used when present because its mpq type is several times faster than
 fractions.Fraction; both expose the same arithmetic and print identically.
 Code that takes a coefficient apart uses only .numerator, .denominator and

@@ -8,16 +8,14 @@ term-local lookup, and the series division loop repeatedly replaces the
 divided part with the correction coming from the divisor tails until the
 running difference has minimum total degree above the requested bound.
 
-The loop pseudo-divides on ints: it divides by primitive integer multiples of
-the divisors, keeps an integer multiple of the running difference, quotients
-and remainder, and scales them up where a quotient term would not be an int.
-Its result keeps those ints and the accumulated scale; one division by the
-scale gives the exact rationals when they are first read, and the operator
-division, which reads the ints, never builds them.  The divisor side of
-that (primitive copies, leading terms, tails and partition) is built once
-per divisor list in a _SeriesDivisors; the operator division keeps one for
-the initial parts of a basis, as long as the basis lives, and hands it to
-every series division it makes.
+The loop pseudo-divides on ints by the rule of sympoly._Divisors, and scales
+its running difference, quotients and remainder up where a quotient term
+would not be an int.  Its result keeps those ints and the accumulated scale
+and builds the exact rationals when they are first read; the operator
+division reads the ints and never builds them.  The divisor side (leading
+terms, tails and partition) is built once per divisor list in a
+_SeriesDivisors; the operator division keeps one for the initial parts of a
+basis and hands it to every series division it makes.
 """
 
 import math
@@ -26,7 +24,7 @@ from functools import cached_property
 
 from .errors import InputError
 from .rationals import Rational
-from .sympoly import _divided, _integral, _primitives, _rescale, accumulate
+from .sympoly import _divided, _Divisors, _integral, _rescale, accumulate
 
 
 @dataclass(frozen=True)
@@ -92,31 +90,21 @@ class ApproxDivisionResult:
     The identity is exact; quotients and remainder are guaranteed only up to
     the degree bound, and the tail has minimum total degree > degree_bound.
 
-    series_approx_div hands over its pseudo-division as it ends, through
-    _pseudo: the int dicts _qbars, of _scale times the quotients of the
-    primitive divisors k_i g_i (k_i in _factors), and those of the
-    remainder and the tail, also times _scale.  The exact rational
-    quotients, remainder and tail are built from them when first read.
-    opdiv.op_approx_div reads the ints and never builds them.
+    series_approx_div hands over its pseudo-division as it ends: the int
+    dicts _qbars of _scale times the quotients of the copies in _divisors,
+    its _SeriesDivisors, and those of the remainder and the tail, also
+    times _scale.  The exact rationals are built when first read.
     """
 
-    def __init__(self, quotients, remainder, tail, degree_bound):
-        # given values shadow the cached properties, which never run then
-        vars(self).update(quotients=quotients, remainder=remainder, tail=tail)
-        self.degree_bound = degree_bound
-
-    @classmethod
-    def _pseudo(cls, poly_cls, qbars, rbar, tail, scale, factors, bound):
-        obj = object.__new__(cls)
-        obj._cls, obj._qbars, obj._rbar, obj._tail = poly_cls, qbars, rbar, tail
-        obj._scale, obj._factors = scale, factors
-        obj.degree_bound = bound
-        return obj
+    def __init__(self, poly_cls, divisors, qbars, rbar, tail, scale, bound):
+        self._cls, self._divisors = poly_cls, divisors
+        self._qbars, self._rbar, self._tail = qbars, rbar, tail
+        self._scale = scale
+        self.degree_bound = bound
 
     @cached_property
     def quotients(self):
-        return [_divided(self._cls, q, self._scale * k.denominator, k.numerator)
-                for q, k in zip(self._qbars, self._factors)]
+        return self._divisors.quotients(self._cls, self._qbars, self._scale)
 
     @cached_property
     def remainder(self):
@@ -127,32 +115,20 @@ class ApproxDivisionResult:
         return _divided(self._cls, self._tail, self._scale)
 
 
-class _SeriesDivisors:
-    """series_approx_div's set-up of one divisor list under one order.
+class _SeriesDivisors(_Divisors):
+    """series_approx_div's sympoly._Divisors: it adds the leading terms and
+    tails of the copies and the staircase partition of their leads."""
 
-    It holds the primitive copies k_i g_i and the factors k_i, their leading
-    terms and tails, and the staircase partition of the leading exponents;
-    iterating gives the divisors as they were given.  series_approx_div
-    builds one per call from a plain list.  opdiv._OpDivisors builds one for
-    the initials of its divisors and hands it to every series division it
-    makes, so it lives as long as the prepared basis that holds it.
-    """
-
-    __slots__ = ("given", "order", "factors", "leads", "rests", "partition")
+    __slots__ = ("leads", "rests", "partition")
 
     def __init__(self, divisors, order):
         if len(order.rows) != 1 or any(w != -1 for w in order.rows[0]):
             raise InputError(
                 "series division expects the all--1 weight row order")
-        self.given = tuple(divisors)
-        self.order = order
-        copies, self.factors = _primitives(list(self.given), order)
-        self.leads = [g.leading(order) for g in copies]
-        self.rests = [g.rest(order) for g in copies]
+        super().__init__(divisors, order)
+        self.leads = [g.leading(order) for g in self.copies]
+        self.rests = [g.rest(order) for g in self.copies]
         self.partition = build_partition([e for e, _ in self.leads])
-
-    def __iter__(self):
-        return iter(self.given)
 
 
 def series_approx_div(f, divisors, order, bound):
@@ -170,8 +146,7 @@ def series_approx_div(f, divisors, order, bound):
     """
     if bound < 0:
         raise InputError("degree bound must not be negative")
-    if not (isinstance(divisors, _SeriesDivisors) and divisors.order is order):
-        divisors = _SeriesDivisors(divisors, order)
+    divisors = _SeriesDivisors.prepare(divisors, order)
     leads, rests = divisors.leads, divisors.rests
     partition = divisors.partition
 
@@ -200,5 +175,5 @@ def series_approx_div(f, divisors, order, bound):
             if q.terms and rest.terms:
                 accumulate(nxt, (q * rest).terms.items())
         diff = -cls._raw(nxt)
-    return ApproxDivisionResult._pseudo(cls, qbars, rbar, diff.terms, scale,
-                                        divisors.factors, bound)
+    return ApproxDivisionResult(cls, divisors, qbars, rbar, diff.terms, scale,
+                                bound)

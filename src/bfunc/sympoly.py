@@ -12,9 +12,11 @@ key a basis element's terms once, not once per reduction.
 accumulate() is the one place where a term whose coefficients sum to zero is
 deleted.  Arithmetic collects its terms through it, and division loops hold
 their running sums as private dicts changed only through it, wrapped once
-they are done.  The pseudo-dividing loops keep integer multiples of those
-sums: _integral and _primitive take coefficients to ints, and _divided
-brings them back to rationals at exit.
+they are done.  The divisions pseudo-divide (Knuth, TAOCP vol. 2, 4.6.1) on
+integer multiples of those sums: _integral and _primitive take coefficients
+to ints, and _divided brings them back to rationals at exit.  Every division
+divides by the primitive copies of its divisors that a _Divisors makes, and
+its quotients leave through _Divisors.quotients.
 """
 
 import math
@@ -70,17 +72,6 @@ def _primitive(op, order):
     return copy
 
 
-def _primitives(ops, order):
-    """The primitive copies k_i op_i of a list of nonzero ops, and the
-    factors k_i: a quotient by k_i op_i is 1/k_i times the one by op_i.
-    The factor of an op that is primitive already, its own copy, is the int
-    1; callers read only .numerator and .denominator."""
-    copies = [_primitive(g, order) for g in ops]
-    return copies, [1 if h is g else
-                    Rational(h.leading(order)[1], g.leading(order)[1])
-                    for h, g in zip(copies, ops)]
-
-
 def _rescale(data, b):
     """Multiply every coefficient of the dict data by b in place."""
     for e in data:
@@ -92,6 +83,50 @@ def _divided(cls, data, den, num=1):
     wrapped in cls: the one exit of the pseudo-dividing loops, which carry
     an integer multiple of their rational result and divide once."""
     return cls._raw({e: Rational(c * num, den) for e, c in data.items()})
+
+
+class _Divisors:
+    """Nonzero divisors g_i prepared under one order for the dividing loops.
+
+    A loop divides by the primitive copies k_i g_i, so scaling its dividend
+    by a quotient term's denominator keeps every coefficient an int.  A
+    quotient q of k_i g_i is k_i q as one of g_i, and quotients() is that one
+    exit; k_i is the int 1 where g_i is primitive, its own copy.  Iterating
+    gives the g_i.  prepare() hands back a set-up made under the same order
+    object as it is.  A subclass adds what its division reads from the
+    divisors alone.
+    """
+
+    __slots__ = ("given", "order", "copies", "factors")
+
+    def __init__(self, divisors, order):
+        self.given = tuple(divisors)
+        if any(g.is_zero() for g in self.given):
+            raise InputError("divisors must be nonzero")
+        self.order = order
+        self.copies = [_primitive(g, order) for g in self.given]
+        self.factors = [1 if h is g else
+                        Rational(h.leading(order)[1], g.leading(order)[1])
+                        for h, g in zip(self.copies, self.given)]
+
+    @classmethod
+    def prepare(cls, divisors, order):
+        """divisors itself when it is a cls prepared under this same order
+        object (`is`, not ==), or under any order when order is None;
+        otherwise a new cls of them."""
+        if isinstance(divisors, cls) and (order is None
+                                          or order is divisors.order):
+            return divisors
+        return cls(divisors, order)
+
+    def __iter__(self):
+        return iter(self.given)
+
+    def quotients(self, cls, qbars, scale):
+        """The exact quotients of the given divisors, wrapped in cls, from
+        the int dicts qbars of scale times those of the copies."""
+        return [_divided(cls, q, scale * k.denominator, k.numerator)
+                for q, k in zip(qbars, self.factors)]
 
 
 class SymbolPoly:

@@ -1,18 +1,18 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from bfunc import localb, opdiv, staircase, sympoly
+from bfunc import localb, opdiv, sympoly
 from bfunc.errors import InputError
-from bfunc.groebner import buchberger_mora
+from bfunc.groebner import buchberger_mora, mora_div
 from bfunc.localb import ann_fs
 from bfunc.opdiv import OpDivisionResult, accuracy_schedule, op_approx_div
 from bfunc.orders import operator_order, series_order
 from bfunc.parser import parse_op, parse_poly
 from bfunc.printing import format_poly
-from bfunc.staircase import (ApproxDivisionResult, build_partition,
-                             series_approx_div)
+from bfunc.staircase import build_partition, series_approx_div
 from bfunc.sympoly import SymbolPoly, accumulate
 from bfunc.weyl import DiffOp, e_part, from_symbol, in_e, op_mul, ord_e
 
@@ -202,8 +202,9 @@ def fraction_series_approx_div(f, divisors, order, bound):
             if q and rest.terms:
                 accumulate(nxt, (cls._raw(q) * rest).terms.items())
         diff = -cls._raw(nxt)
-    return ApproxDivisionResult([cls._raw(q) for q in qbars], cls._raw(rbar),
-                                diff, bound)
+    return SimpleNamespace(quotients=[cls._raw(q) for q in qbars],
+                           remainder=cls._raw(rbar), tail=diff,
+                           degree_bound=bound)
 
 
 def fraction_op_approx_div(p, divisors, bound, order):
@@ -334,28 +335,64 @@ def test_prepared_basis_divides_as_its_element_list(monkeypatch):
 
 
 def test_find_generator_prepares_the_basis_once(monkeypatch):
-    # the approximate divisions' set-up (opdiv's and staircase's) makes its
-    # primitive copies through sympoly._primitives: once per basis element
-    # and once per initial part, however many normal forms the search
-    # computes.  Mora certification's own copies are not counted.
+    # every division of a b(s) search, the approximate ones and Mora's
+    # certifications alike, divides through the set-up the basis keeps:
+    # one primitive copy per basis element and one per initial part,
+    # however many normal forms and candidates the search goes through
     f, gb = bsearch_bases()[0]
-    made, divisions = [], []
+    made, divisions, certifications = [], [], []
 
-    def counting(ops, order):
-        made.extend(ops)
-        return sympoly._primitives(ops, order)
+    def counting(op, order):
+        made.append(op)
+        return primitive(op, order)
 
     def counting_division(*args):
         divisions.append(args)
         return op_approx_div(*args)
 
-    for module in (opdiv, staircase):
-        monkeypatch.setattr(module, "_primitives", counting)
+    def counting_certification(*args):
+        certifications.append(args)
+        return mora_div(*args)
+
+    primitive = sympoly._primitive
+    monkeypatch.setattr(sympoly, "_primitive", counting)
     monkeypatch.setattr(localb, "op_approx_div", counting_division)
+    monkeypatch.setattr(localb, "mora_div", counting_certification)
     localb.find_generator(gb, 2 * f.arity, 64)
-    assert len(divisions) > 2 * len(gb.elements)
-    assert len(made) == 2 * len(gb.elements)
+    n = len(gb.elements)
+    assert len(divisions) > 2 * n and len(certifications) > 1
+    assert len(made) == 2 * n
     assert all(a is b for a, b in zip(made, gb.elements))
+    assert [g.terms for g in made[n:]] == \
+        [in_e(g).terms for g in gb._divisors.copies]
     # the set-up lives as long as the basis
     localb.find_generator(gb, 2 * f.arity, 64)
-    assert len(made) == 2 * len(gb.elements)
+    assert len(made) == 2 * n
+
+
+def test_certification_through_the_kept_set_up(monkeypatch):
+    # find_generator certifies through the set-up the basis keeps; replayed
+    # with the plain list of its elements, every certification of the b(s)
+    # search benchmark's bases, rejected candidates included, is the same
+    calls = []
+
+    def recording(p, divisors, order):
+        calls.append((p, divisors, order))
+        return mora_div(p, divisors, order)
+
+    monkeypatch.setattr(localb, "mora_div", recording)
+    bases = bsearch_bases()
+    for f, gb in bases:
+        localb.find_generator(gb, 2 * f.arity, 64)
+    monkeypatch.undo()
+    assert len(calls) > len(bases)
+
+    def exact_relation(res):
+        return [exact(q) for q in [res.unit, res.remainder] + res.quotients]
+
+    kept = {id(gb._divisors): gb for _, gb in bases}
+    for p, divisors, order in calls:
+        gb = kept[id(divisors)]
+        assert order is gb.order
+        assert exact_relation(mora_div(p, divisors, order)) == \
+            exact_relation(mora_div(p, list(gb.elements), order))

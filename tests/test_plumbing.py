@@ -12,8 +12,11 @@ Every public function and method is used: by the library, by the acceptance
 tests or in README.md.
 Mora division and the global normal form never rescan their running
 dividend: its leader comes from a lazy heap.
-Both Buchberger loops keep primitive elements, and every division divides by
-the copies sympoly._primitives makes, so the shared loop takes no normaliser.
+Both Buchberger loops keep primitive elements, so the shared loop takes no
+normaliser.  Every division divides by the primitive copies a
+sympoly._Divisors makes and turns their quotients into the divisors' through
+its one exit: _primitive is called only in sympoly and in the shared loop,
+and no other code divides by a copy's factor.
 """
 
 import ast
@@ -73,8 +76,8 @@ def test_buchberger_loop_takes_no_normaliser():
         "(gens, order, reduce_fn, mul, select_key)"
 
 
-def _term_deletions(path):
-    """Qualified names of the functions holding a `del d[...]` statement."""
+def _holders(path, match):
+    """Qualified names of the functions holding a node that match accepts."""
     found = []
 
     def visit(node, scope):
@@ -82,8 +85,7 @@ def _term_deletions(path):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Delete) and any(
-                    isinstance(t, ast.Subscript) for t in child.targets):
+            if match(child):
                 found.append(".".join([path.stem] + scope))
             visit(child, scope)
 
@@ -91,9 +93,41 @@ def _term_deletions(path):
     return found
 
 
+def _term_deletions(path):
+    """Qualified names of the functions holding a `del d[...]` statement."""
+    return _holders(path, lambda node: isinstance(node, ast.Delete) and any(
+        isinstance(t, ast.Subscript) for t in node.targets))
+
+
 def test_cancelled_terms_deleted_in_one_place():
     found = [hit for path in SOURCES for hit in _term_deletions(path)]
     assert set(found) == {"sympoly.accumulate"}
+
+
+def _calls(name, min_args=0):
+    """A matcher for calls of name with at least min_args arguments."""
+    return lambda node: (isinstance(node, ast.Call) and _callee(node) == name
+                         and len(node.args) + len(node.keywords) >= min_args)
+
+
+def test_primitive_copies_and_their_exit_in_one_place(tmp_path):
+    # a copy's factor is divided out by _divided's fourth argument
+    copies = {hit for path in SOURCES
+              for hit in _holders(path, _calls("_primitive"))}
+    assert {hit for hit in copies if not hit.startswith("sympoly.")} == \
+        {"groebner._buchberger_loop"}
+    exits = {hit for path in SOURCES
+             for hit in _holders(path, _calls("_divided", 4))}
+    assert exits == {"sympoly._Divisors.quotients"}
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def copy(g, order):\n    return sympoly._primitive(g, order)\n"
+        "class Setup:\n    def exit(self, q, k):\n"
+        "        _divided(cls, q, scale)\n"
+        "        return _divided(cls, q, scale * k.denominator,\n"
+        "                        k.numerator)\n")
+    assert _holders(probe, _calls("_primitive")) == ["probe.copy"]
+    assert _holders(probe, _calls("_divided", 4)) == ["probe.Setup.exit"]
 
 
 SCANS = {"max", "min", "sorted", "map", "filter", "sum", "any", "all",

@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from bfunc.errors import InputError, ZeroLeadingTermError
 from bfunc.groebner import reduce_global
+from bfunc.opdiv import _OpDivisors
 from bfunc.orders import elimination_order, operator_order, series_order
 from bfunc.parser import parse_op, parse_poly
 from bfunc.rationals import rat
-from bfunc.sympoly import SymbolPoly, _primitives
+from bfunc.sympoly import SymbolPoly, _Divisors
 from bfunc.weyl import DiffOp
 
 X = ["x"]
@@ -257,9 +258,41 @@ def test_primitives_factor_of_a_primitive_op_is_int_one():
     order = operator_order(1)
     ops = [DiffOp._raw({(1, 0, 1): 2, (0, 0, 0): -3}),
            parse_op("4/3*x*dx - 2/9", X), parse_op("-2*x*dx + 6", X)]
-    copies, factors = _primitives(ops, order)
+    prepared = _Divisors(ops, order)
+    copies, factors = prepared.copies, prepared.factors
+    assert list(prepared) == ops
     assert copies[0] is ops[0] and type(factors[0]) is int and factors[0] == 1
     assert factors[1:] == [Fraction(9, 2), Fraction(-1, 2)]
     for g, h, k in zip(ops, copies, factors):
         assert h.terms == g.scale(k).terms
         assert math.gcd(*h.terms.values()) == 1 and h.leading(order)[1] > 0
+    # the exit turns int quotients of the copies into those of the ops
+    qbars = [{(0, 0, 0): 3}, {(0, 0, 1): 4}, {(1, 0, 0): 6}]
+    for q, qbar, k in zip(prepared.quotients(DiffOp, qbars, 12), qbars,
+                          factors):
+        assert q.terms == {e: Fraction(c * k, 12) for e, c in qbar.items()}
+    with pytest.raises(InputError):
+        _Divisors(ops + [DiffOp.zero()], order)
+
+
+def test_divisors_prepared_again_under_another_order_object():
+    # prepare hands back a set-up made under the same order object, and
+    # under any order when none is asked for; an equal order that is
+    # another object, or a plain list, is prepared afresh
+    order, other = operator_order(1), operator_order(1)
+    assert other == order and other is not order
+    ops = [parse_op("4/3*x*dx - 2/9", X)]
+    prepared = _Divisors.prepare(ops, order)
+    assert type(prepared) is _Divisors and prepared.order is order
+    assert _Divisors.prepare(prepared, order) is prepared
+    assert _Divisors.prepare(prepared, None) is prepared
+    again = _Divisors.prepare(prepared, other)
+    assert again is not prepared and again.order is other
+    assert list(again) == ops
+    assert [h.terms for h in again.copies] == \
+        [h.terms for h in prepared.copies]
+    # mora_div's plain set-up takes the operator division's as it is, but
+    # not the other way round
+    op_prepared = _OpDivisors.prepare(ops, order)
+    assert _Divisors.prepare(op_prepared, order) is op_prepared
+    assert type(_OpDivisors.prepare(prepared, order)) is _OpDivisors
