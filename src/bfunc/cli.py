@@ -164,7 +164,7 @@ def _run_nf(args):
     p = parse_op(_main_expr(args), names)
     gens = [parse_op(e, names) for e in args.ideal]
     gb = groebner_basis(gens, operator_order(len(names), args.tie), args.gb)
-    nf = approx_nf(p, gb, args.n)
+    nf = approx_nf(p, gb, args.n).remainder
     text = format_poly(nf, names, gb.order)
     _emit(args, {"normal_form": text, "n": args.n}, text)
 

@@ -7,9 +7,11 @@ search computes approximate normal forms of the powers of s, each chained
 from the one before (NF(s^(i+1)) is the normal form of s * NF(s^i), see
 s_power_nfs) and exact only below the truncation degree, looks for an
 exact rational dependency among their truncations (one echelon per
-truncation degree, see find_generator), and certifies each
-candidate by Mora division; failed certifications raise the truncation
-degree and chain the normal forms afresh.
+truncation degree, see find_generator), and certifies each candidate by
+Mora division; a failed certification raises the truncation degree.  A
+division that cut nothing off (OpDivisionResult.exact) runs the same steps
+at every larger degree, so the chain is kept up to its first inexact
+division and chained again only from there.
 
 When f is weighted homogeneous with an isolated singularity at the origin,
 its annihilator has a closed form (the Euler and Koszul operators, see
@@ -154,45 +156,35 @@ def _shift_to_s(g, n):
 # -- normal forms and the dependency search -----------------------------------
 
 def approx_nf(p, gb, bound):
-    """Approximate normal form: remainder of dividing p by the basis,
-    through the division set-up the basis keeps (GroebnerBasis._divisors)."""
-    return op_approx_div(p, gb._divisors, bound, gb.order).remainder
+    """Approximate normal form of p at truncation degree bound: the division
+    of p by the basis (an OpDivisionResult whose remainder is the normal
+    form), through the division set-up the basis keeps
+    (GroebnerBasis._divisors)."""
+    return op_approx_div(p, gb._divisors, bound, gb.order)
 
 
-@dataclass(frozen=True)
-class NFTable:
-    """Normal forms of 1, s, s^2, ... at a common truncation degree.
-
-    They come from s_power_nfs, so each is chained from the one before and
-    exact only below bound: compare them after truncate(bound).
-    """
-
-    nfs: list
-    bound: int
-
-
-def s_power_nfs(gb, bound):
-    """Approximate normal forms of 1, s, s^2, ... at truncation degree bound.
+def s_power_nfs(gb, bound, prev=None):
+    """Divisions (approx_nf) of 1, s, s^2, ... at truncation degree bound,
+    or of the powers of s past the one whose division prev is.
 
     Chained: NF(1) = approx_nf(1) and NF(s^(i+1)) = approx_nf(s * NF(s^i)).
     Division leaves an exact identity s^i = sum(q_j g_j) + NF(s^i), and s is
     central, so s * NF(s^i) lies in the coset of s^(i+1); below bound the
     remainder of any member of a coset is the same.  Only the part below
-    bound is exact.  Multiplying by s shifts the s slot of each exponent.
+    bound is exact, unless the division is exact (OpDivisionResult.exact):
+    then NF(s^i) is the remainder at every larger bound too, and so is the
+    start of the chain past it.  Multiplying by s shifts the s slot of each
+    exponent.
     """
     arity = gb.order.arity
     mid = (arity - 1) // 2
-    nf = approx_nf(DiffOp.constant(1, arity), gb, bound)
+    p = DiffOp.constant(1, arity)
     while True:
-        yield nf
-        shifted = DiffOp._raw({e[:mid] + (e[mid] + 1,) + e[mid + 1:]: c
-                               for e, c in nf.terms.items()})
-        nf = approx_nf(shifted, gb, bound)
-
-
-def nf_table(gb, top_power, bound):
-    return NFTable(list(itertools.islice(s_power_nfs(gb, bound),
-                                         top_power + 1)), bound)
+        if prev is not None:
+            p = DiffOp._raw({e[:mid] + (e[mid] + 1,) + e[mid + 1:]: c
+                             for e, c in prev.remainder.terms.items()})
+        prev = approx_nf(p, gb, bound)
+        yield prev
 
 
 def dependency_kernel(nfs, bound):
@@ -223,9 +215,12 @@ def find_generator(gb, n0, nmax):
     Returns (coefficients ascending, final truncation degree, certificate).
     Searches candidate degrees upward; a degree with trivial kernel stays
     ruled out when the truncation degree grows, so after a failed
-    certification only the truncation degree is raised and the normal forms
-    are chained afresh at the new degree (s_power_nfs): they are exact only
-    below it.  At each truncation degree one echelon is kept: each truncated
+    certification only the truncation degree is raised.  The chain of
+    normal forms (s_power_nfs) is kept across degrees up to its first
+    inexact division (OpDivisionResult.exact): the divisions before it are
+    those of every larger degree, term for term, so only the rest is
+    chained again, at the new degree, from the last one kept.  At each
+    truncation degree one echelon is kept: each truncated
     normal form, a sparse column, is reduced against the pivots of the ones
     before it (linalg.add_column), and normal forms are pulled until one
     past the last ruled-out degree vanishes.  dependency_kernel then
@@ -240,16 +235,20 @@ def find_generator(gb, n0, nmax):
     degrees run from n0 up to nmax; n0 < 1 or n0 > nmax is an InputError.
     """
     _check_bounds(n0, nmax)
-    d = 0
+    d, chain = 0, []
     for bound in range(n0, nmax + 1):
-        nfs, pivots = [], []
-        for nf in s_power_nfs(gb, bound):
-            dependency = add_column(pivots, nf.truncate(bound).terms, len(nfs))
-            nfs.append(nf)
-            if len(nfs) > d and len(pivots) < len(nfs):
+        chain = list(itertools.takewhile(lambda div: div.exact, chain))
+        pulled = s_power_nfs(gb, bound, chain[-1] if chain else None)
+        pivots = []
+        for i in itertools.count():
+            if i == len(chain):
+                chain.append(next(pulled))
+            dependency = add_column(
+                pivots, chain[i].remainder.truncate(bound).terms, i)
+            if i >= d and len(pivots) <= i:
                 break
-        d = len(nfs) - 1
-        kernel = dependency_kernel(nfs, bound)
+        d = i
+        kernel = dependency_kernel([div.remainder for div in chain], bound)
         # s^0..s^(d-1) are independent, so both eliminations find one
         # dependency, monic in s^d
         if kernel != [dependency]:

@@ -32,6 +32,9 @@ class OpDivisionResult:
 
     Quotients and remainder are guaranteed only below the requested bound;
     schedule records (level, M_level, bound before the level) in run order.
+    exact: no level cut a term off its e-part and every inner series
+    division ended with an empty tail, so every larger bound runs the same
+    steps and gives these quotients and this remainder.
     """
 
     quotients: list
@@ -39,6 +42,7 @@ class OpDivisionResult:
     requested_bound: int
     initial_bound: int
     schedule: list
+    exact: bool
 
 
 def accuracy_schedule(divisors, top, order):
@@ -103,7 +107,7 @@ def op_approx_div(p, divisors, bound, order=None):
     divisors = _OpDivisors.prepare(divisors, order)
     if p.is_zero():
         return OpDivisionResult([DiffOp.zero() for _ in divisors.given],
-                                DiffOp.zero(), bound, bound, [])
+                                DiffOp.zero(), bound, bound, [], True)
     initials = divisors.initials
     top = ord_e(p)
     losses = _losses(divisors.levels, top)
@@ -117,12 +121,16 @@ def op_approx_div(p, divisors, bound, order=None):
     scale, remainder = _integral(p.terms)
     quotients = [{} for _ in divisors.given]
     schedule = []
+    exact = True
     for k in range(top, -1, -1):
         schedule.append((k, losses[k], cur))
-        part = e_part(DiffOp._raw(remainder), k, cur)
+        level = e_part(DiffOp._raw(remainder), k)
+        part = level.truncate(cur)
+        exact = exact and len(part.terms) == len(level.terms)
         if part.terms:
             # the cut keeps degrees < cur, so divide through cur - 1 inclusive
             inner = series_approx_div(part, initials, initials.order, cur - 1)
+            exact = exact and not inner._tail
             # the inner quotient of in_e(k_i g_i) has the coefficients
             # c a / b, c in its int dict and a/b its factor over the inner
             # scale; den is the lcm of their denominators in lowest terms
@@ -143,4 +151,5 @@ def op_approx_div(p, divisors, bound, order=None):
         cur -= losses[k]
     return OpDivisionResult(
         divisors.quotients(DiffOp, quotients, scale),
-        _divided(DiffOp, remainder, scale), bound, initial_bound, schedule)
+        _divided(DiffOp, remainder, scale), bound, initial_bound, schedule,
+        exact)

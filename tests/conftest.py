@@ -154,20 +154,22 @@ def corpus():
     return corpus_polys(CORPUS)
 
 
-# The b(s) search benchmark's three curves, with their coefficients at seed 1
-BSEARCH_SEED_1 = ("3*x^3 + 2*y^7", "-3*x^4 + 2*y^6", "x^5 - y^6")
+# The b(s) search benchmark's three curves, with their coefficients at seeds
+# 1 and 2
+BSEARCH = {1: ("3*x^3 + 2*y^7", "-3*x^4 + 2*y^6", "x^5 - y^6"),
+           2: ("x^3 + 2*y^7", "-2*x^4 + 3*y^6", "3*x^5 + 2*y^6")}
 
 
-def bsearch_bases():
-    """Fresh Mora bases of the b(s) search benchmark's curves at seed 1,
-    built as the benchmark builds them: a list of (f, basis)."""
+def bsearch_bases(seed=1):
+    """Fresh Mora bases of the b(s) search benchmark's curves at seed 1 or
+    2, built as the benchmark builds them: a list of (f, basis)."""
     from bfunc.groebner import buchberger_mora
     from bfunc.localb import ann_fs
     from bfunc.orders import operator_order
     from bfunc.parser import parse_poly
     from bfunc.weyl import from_symbol
     out = []
-    for text in BSEARCH_SEED_1:
+    for text in BSEARCH[seed]:
         f = parse_poly(text, ["x", "y"])
         out.append((f, buchberger_mora(ann_fs(f) + [from_symbol(f)],
                                        operator_order(2))))

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -9,14 +10,17 @@ from hypothesis import given, settings, strategies as st
 from bfunc.errors import BfuncError, InputError, ResourceLimitError
 from bfunc.groebner import (MoraResult, buchberger_global, buchberger_mora,
                             groebner_lazard, mora_div)
-from bfunc.localb import (_yano_generators, ann_fs, approx_nf,
+from bfunc.linalg import add_column
+from bfunc.localb import (_poly_in_s, _yano_generators, ann_fs, approx_nf,
                           dependency_kernel, find_generator, local_b_function,
-                          nf_table, rational_roots, verify_certificate)
+                          rational_roots, s_power_nfs, verify_certificate)
 from bfunc.orders import elimination_order, operator_order
 from bfunc.parser import parse_op, parse_poly
 from bfunc.printing import format_poly, format_univariate
 from bfunc.rationals import rat
 from bfunc.weyl import DiffOp, apply_to_fs, base_arity, from_symbol, op_mul
+
+from conftest import bsearch_bases
 
 XYZ = ["x", "y", "z"]
 ORD3 = operator_order(3)
@@ -289,9 +293,15 @@ def test_yano_shortcut_matches_elimination(strategy, case):
 
 # ------------------------------------------------------------ normal forms
 
+def chained_nfs(gb, top_power, bound):
+    """Normal forms of 1, s, ..., s^top_power, chained at degree bound."""
+    return [div.remainder for div in
+            itertools.islice(s_power_nfs(gb, bound), top_power + 1)]
+
+
 def test_nf_values_at_seven():
     gb = example_gb()
-    table = nf_table(gb, 4, 7)
+    nfs = chained_nfs(gb, 4, 7)
     expected = [
         "1",
         "1/2*z*dz",
@@ -299,13 +309,13 @@ def test_nf_values_at_seven():
         "1/8*z^3*dz^3 + 3/8*z^2*dz^2 + 1/8*z*dz",
         "-3/8*z^3*dz^3 - 31/16*z^2*dz^2 - 31/16*z*dz - 1/4",
     ]
-    for nf, want in zip(table.nfs, expected):
+    for nf, want in zip(nfs, expected):
         assert format_poly(nf.truncate(7), XYZ) == want
 
 
 def test_nf_zero():
     gb = example_gb()
-    assert approx_nf(DiffOp.zero(), gb, 5).is_zero()
+    assert approx_nf(DiffOp.zero(), gb, 5).remainder.is_zero()
 
 
 def test_nf_canonical_across_strategies():
@@ -317,8 +327,8 @@ def test_nf_canonical_across_strategies():
         exp = [0] * 7
         exp[3] = i
         p = DiffOp.monomial(tuple(exp))
-        a = approx_nf(p, gm, 7).truncate(7)
-        b = approx_nf(p, gl, 7).truncate(7)
+        a = approx_nf(p, gm, 7).remainder.truncate(7)
+        b = approx_nf(p, gl, 7).remainder.truncate(7)
         assert a == b
 
 
@@ -329,8 +339,8 @@ def test_nf_additive_below_truncation():
     for _ in range(20):
         p = rand_op(rng, 3, terms=2, max_deg=2)
         q = rand_op(rng, 3, terms=2, max_deg=2)
-        lhs = approx_nf(p + q, gb, 6)
-        rhs = approx_nf(p, gb, 6) + approx_nf(q, gb, 6)
+        lhs = approx_nf(p + q, gb, 6).remainder
+        rhs = approx_nf(p, gb, 6).remainder + approx_nf(q, gb, 6).remainder
         diff = lhs - rhs
         assert diff.is_zero() or diff.min_total_degree() >= 6
 
@@ -347,7 +357,7 @@ def _scratch_find_generator(gb, n0, nmax):
     d = 0
     for bound in range(n0, nmax + 1):
         def nf(i):
-            return approx_nf(_s_power(i, gb.order.arity), gb, bound)
+            return approx_nf(_s_power(i, gb.order.arity), gb, bound).remainder
 
         nfs = [nf(i) for i in range(d + 1)]
         while not (kernel := dependency_kernel(nfs, bound)):
@@ -363,8 +373,34 @@ def _scratch_find_generator(gb, n0, nmax):
     raise AssertionError("no certified candidate")
 
 
+def _fresh_chain_search(gb, n0, nmax):
+    """find_generator as it was before the chain was kept across truncation
+    degrees: the normal forms are chained afresh at every degree."""
+    d = 0
+    for bound in range(n0, nmax + 1):
+        nfs, pivots = [], []
+        for div in s_power_nfs(gb, bound):
+            dependency = add_column(pivots, div.remainder.truncate(bound).terms,
+                                    len(nfs))
+            nfs.append(div.remainder)
+            if len(nfs) > d and len(pivots) < len(nfs):
+                break
+        d = len(nfs) - 1
+        candidate = tuple(dependency)
+        cert = mora_div(_poly_in_s(candidate, gb.order.arity), gb._divisors,
+                        gb.order)
+        if cert.remainder.is_zero():
+            return candidate, bound, cert
+    raise AssertionError("no certified candidate")
+
+
+def _typed(p):
+    """The terms of p, each coefficient with its type."""
+    return {e: (type(c), c) for e, c in p.terms.items()}
+
+
 def _cert_terms(cert):
-    return [p.terms for p in [cert.unit, cert.remainder] + cert.quotients]
+    return [_typed(p) for p in [cert.unit, cert.remainder] + cert.quotients]
 
 
 def test_s_power_chain_matches_scratch():
@@ -380,9 +416,10 @@ def test_s_power_chain_matches_scratch():
                     for strategy in ("mora", "lazard")]
     for gb, n0 in bases:
         for bound in range(7, 11):
-            chained = nf_table(gb, 6, bound).nfs
+            chained = chained_nfs(gb, 6, bound)
             for i, nf in enumerate(chained):
-                scratch = approx_nf(_s_power(i, gb.order.arity), gb, bound)
+                scratch = approx_nf(_s_power(i, gb.order.arity), gb,
+                                    bound).remainder
                 assert nf.truncate(bound) == scratch.truncate(bound)
         got = find_generator(gb, n0, 64)
         want = _scratch_find_generator(gb, n0, 64)
@@ -392,13 +429,63 @@ def test_s_power_chain_matches_scratch():
         verify_certificate(res)
 
 
+INEXACT_CHAINS = ("x^2 + y^2 + x^3", "x^2 + y^3 + y^4", "x*((x - 1)^2 + y^3)",
+                  "x^2*(y + 1)^2*z^2")
+
+
+def test_kept_chain_matches_fresh_chains(monkeypatch):
+    # the chain kept across truncation degrees gives the search that chains
+    # afresh at every degree: on the b(s) search benchmark's bases at seeds
+    # 1-2, whose chains are exact, and from n0 = 1 on four inputs whose
+    # chains turn inexact, which are chained again
+    cases = [(gb, 2 * f.arity, True)
+             for seed in (1, 2) for f, gb in bsearch_bases(seed)]
+    for text in INEXACT_CHAINS:
+        names = XYZ if "z" in text else ["x", "y"]
+        f = parse_poly(text, names)
+        gb = buchberger_mora(ann_fs(f) + [from_symbol(f)],
+                             operator_order(len(names)))
+        cases.append((gb, 1, False))
+    calls, tables = [], []
+
+    def counting(*args):
+        calls.append(args)
+        return approx_nf(*args)
+
+    def recording(nfs, bound):
+        tables.append((nfs, bound))
+        return dependency_kernel(nfs, bound)
+
+    for gb, n0, exact in cases:
+        assert all(div.exact for div in itertools.islice(
+            s_power_nfs(gb, n0), 6)) == exact
+        monkeypatch.setattr("bfunc.localb.approx_nf", counting)
+        monkeypatch.setattr("bfunc.localb.dependency_kernel", recording)
+        calls.clear()
+        tables.clear()
+        got = find_generator(gb, n0, 64)
+        monkeypatch.undo()
+        # at every degree the table is the chain made afresh at it
+        for nfs, bound in tables:
+            fresh = chained_nfs(gb, len(nfs) - 1, bound)
+            assert [_typed(nf) for nf in nfs] == [_typed(nf) for nf in fresh]
+        want = _fresh_chain_search(gb, n0, 64)
+        assert [(type(c), c) for c in got[0]] == \
+            [(type(c), c) for c in want[0]]
+        assert got[1] == want[1]
+        assert _cert_terms(got[2]) == _cert_terms(want[2])
+        if exact:
+            # each power of s is divided once, at whatever bound it is needed
+            assert len(calls) == len(got[0])
+
+
 # ------------------------------------------------------------------ kernel
 
 def test_kernel_rows_from_search_trace():
     gb = example_gb()
-    table = nf_table(gb, 4, 7)
-    assert dependency_kernel(table.nfs[:4], 7) == []
-    basis = dependency_kernel(table.nfs, 7)
+    nfs = chained_nfs(gb, 4, 7)
+    assert dependency_kernel(nfs[:4], 7) == []
+    basis = dependency_kernel(nfs, 7)
     assert len(basis) == 1
     v = basis[0]
     scaled = [c / v[-1] for c in v]
@@ -408,10 +495,8 @@ def test_kernel_rows_from_search_trace():
 def test_kernel_shrinks_with_bound():
     # the candidate s at tiny truncation dies once (1/2) z dz becomes visible
     gb = example_gb()
-    low = nf_table(gb, 1, 2)
-    assert dependency_kernel(low.nfs, 2) != []
-    high = nf_table(gb, 1, 3)
-    assert dependency_kernel(high.nfs, 3) == []
+    assert dependency_kernel(chained_nfs(gb, 1, 2), 2) != []
+    assert dependency_kernel(chained_nfs(gb, 1, 3), 3) == []
 
 
 # ---------------------------------------------------------- find_generator

@@ -173,6 +173,52 @@ def test_remainder_prefix_off_staircase():
             assert part.classify(exp) is None
 
 
+# --------------------------------------------------------------- exactness
+
+def test_exact_division_is_that_of_every_larger_bound(monkeypatch):
+    # every division of the chained normal forms of the b(s) search
+    # benchmark's bases at seeds 1-2, at two bounds, is exact, and is the
+    # division at bound 64: same quotients and remainder, coefficient types
+    # included
+    calls = []
+
+    def recording(p, divisors, bound, order):
+        res = op_approx_div(p, divisors, bound, order)
+        calls.append((p, divisors, order, res))
+        return res
+
+    monkeypatch.setattr(localb, "op_approx_div", recording)
+    for seed in (1, 2):
+        for _, gb in bsearch_bases(seed):
+            for bound in (4, 7):
+                list(itertools.islice(localb.s_power_nfs(gb, bound), 8))
+    monkeypatch.undo()
+    assert len(calls) == 2 * 3 * 2 * 8
+    for p, divisors, order, res in calls:
+        assert res.exact
+        far = op_approx_div(p, divisors, 64, order)
+        assert far.exact
+        assert [exact(q) for q in res.quotients] == \
+            [exact(q) for q in far.quotients]
+        assert exact(res.remainder) == exact(far.remainder)
+
+
+def test_inexact_divisions_are_reported():
+    # x^6 lies past the cut at bound 3 and is divided whole at bound 7
+    p, divisors = OP("x^6"), [OP("dx")]
+    assert not op_approx_div(p, divisors, 3).exact
+    assert op_approx_div(p, divisors, 7).exact
+    # 1 = (1 - x + x^2 - ...)(1 + x) leaves a tail at every bound
+    assert not any(op_approx_div(OP("1"), [OP("1 + x")], n).exact
+                   for n in (1, 5, 20))
+    assert op_approx_div(DiffOp.zero(), divisors, 3).exact
+    # past 1 the chain of x^2 + y^2 + x^3 is inexact
+    f = parse_poly("x^2 + y^2 + x^3", ["x", "y"])
+    gb = buchberger_mora(ann_fs(f) + [from_symbol(f)], operator_order(2))
+    chain = list(itertools.islice(localb.s_power_nfs(gb, 4), 4))
+    assert [div.exact for div in chain] == [True, False, False, False]
+
+
 # ------------------------------------------------- rational reference loops
 
 def fraction_series_approx_div(f, divisors, order, bound):
@@ -213,7 +259,7 @@ def fraction_op_approx_div(p, divisors, bound, order):
     divisors = list(divisors)
     if p.is_zero():
         return OpDivisionResult([DiffOp.zero() for _ in divisors],
-                                DiffOp.zero(), bound, bound, [])
+                                DiffOp.zero(), bound, bound, [], True)
     sorder = series_order(p.arity, order.tie)
     initials = [in_e(g) for g in divisors]
     top = ord_e(p)
@@ -222,11 +268,14 @@ def fraction_op_approx_div(p, divisors, bound, order):
     quotients = [DiffOp.zero() for _ in divisors]
     remainder = p
     schedule = []
+    exact = True
     for k in range(top, -1, -1):
         schedule.append((k, losses[k], cur))
         part = e_part(remainder, k, cur)
+        exact = exact and part.terms == e_part(remainder, k).terms
         if part.terms:
             inner = fraction_series_approx_div(part, initials, sorder, cur - 1)
+            exact = exact and inner.tail.is_zero()
             for i, q in enumerate(inner.quotients):
                 if q.terms:
                     ql = from_symbol(q)
@@ -234,7 +283,7 @@ def fraction_op_approx_div(p, divisors, bound, order):
                     remainder = remainder - op_mul(ql, divisors[i])
         cur -= losses[k]
     return OpDivisionResult(quotients, remainder, bound, initial_bound,
-                            schedule)
+                            schedule, exact)
 
 
 def exact(p):
@@ -246,10 +295,12 @@ def test_op_approx_div_matches_rational_loop(monkeypatch, time_limit):
     # Every approximate division of find_generator's normal forms on three
     # bases (the normal crossing x^2*(y+1)^2*z^2, the cusp through
     # local_b_function, and the curve 2*x^3 - 3*y^7 of the b(s) search
-    # benchmark) is recorded and replayed through both loops, next to random
-    # dividends with Fraction coefficients and divisors whose coefficients
-    # are not integral.  Each inner series division those make is replayed
-    # too, on Fraction copies of its int dividend and divisors.
+    # benchmark), and of the chains at two bounds of the first and last,
+    # which the search keeps across bounds while they are exact, is
+    # recorded and replayed through both loops, next to random dividends
+    # with Fraction coefficients and divisors whose coefficients are not
+    # integral.  Each inner series division those make is replayed too, on
+    # Fraction copies of its int dividend and divisors.
     rng = random.Random(29)
     skewed = [[OP("2/3*dx + x*dx + 5/7*x")],
               [OP("3/4*x*dx - 1/2*s"), OP("1/5*x^2")],
@@ -270,25 +321,31 @@ def test_op_approx_div_matches_rational_loop(monkeypatch, time_limit):
     monkeypatch.setattr(opdiv, "series_approx_div", recording_series)
     xyz, xy = ["x", "y", "z"], ["x", "y"]
     f = parse_poly("x^2*(y + 1)^2*z^2", xyz)
-    localb.find_generator(
-        buchberger_mora(ann_fs(f) + [from_symbol(f)], operator_order(3)),
-        1, 64)
+    crossing = buchberger_mora(ann_fs(f) + [from_symbol(f)],
+                               operator_order(3))
+    localb.find_generator(crossing, 1, 64)
     localb.local_b_function(parse_poly("x^2 + y^3", xy))
     f = parse_poly("2*x^3 - 3*y^7", xy)
-    localb.find_generator(
-        buchberger_mora(ann_fs(f) + [from_symbol(f)], operator_order(2)),
-        2 * f.arity, 64)
+    curve = buchberger_mora(ann_fs(f) + [from_symbol(f)], operator_order(2))
+    localb.find_generator(curve, 2 * f.arity, 64)
+    for gb in (crossing, curve):
+        for bound in (3, 6):
+            list(itertools.islice(localb.s_power_nfs(gb, bound), 8))
     monkeypatch.undo()
     assert len(calls) > 40 + 40 and len(inner) > 100
 
+    flags = set()
     for p, divisors, bound, order in calls:
         got = op_approx_div(p, divisors, bound, order)
         want = fraction_op_approx_div(p, divisors, bound, order)
+        flags.add(want.exact)
         assert [exact(q) for q in got.quotients] == \
             [exact(q) for q in want.quotients]
         assert exact(got.remainder) == exact(want.remainder)
         assert got.schedule == want.schedule
         assert got.initial_bound == want.initial_bound
+        assert got.exact == want.exact
+    assert flags == {True, False}
     for f, divisors, order, bound in inner + [
             (rand_sympoly(rng, 3, terms=4, max_deg=3),
              [SymbolPoly({e: c / 3 for e, c in g.terms.items()})
