@@ -19,8 +19,18 @@ order from a heap queue, where key is the selection key of the pair's
 leading-exponent join, computed once when the pair is added (Gebauer and
 Moeller's selection bookkeeping, without their criteria).  Buchberger's
 coprimality shortcut is unsound for operator products and is never used; only
-the chain criterion prunes pairs, and a bitmask of each lead's nonzero slots
-spares it most divisibility tests.
+the chain criterion prunes pairs.
+
+Inside the loop an exponent is one int, its packed key K under the order
+(orders.Packing, sympoly._Packed): K compares as the order's key, so a
+leader is the largest K and the heaps hold ints; a monomial product is one
+addition; a lead divides an exponent when one subtraction leaves no guard
+bit set.  The loop's basis is one sympoly._Divisors of packed elements,
+grown by one element at a time and handed to every division, so each
+element is made primitive and keyed once.  The elements are unpacked once,
+at exit.  mora_div, reduce_global and spair take packed operands from the
+loop and tuple ones from anywhere else: those are packed on entry and the
+results unpacked at exit.
 
 Every element the loop appends, generators included, is primitive: int
 coefficients with gcd 1 and a positive lead.  Its S-pairs cross-multiply the
@@ -38,15 +48,13 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
-from operator import sub
 
 from .errors import InputError
 from .opdiv import _OpDivisors
-from .orders import MatrixOrder, _descending_key, homogenized_order
+from .orders import MatrixOrder, homogenized_order
 from .rationals import Rational
-from .sympoly import (_divided, _Divisors, _integral, _primitive, _rescale,
-                      accumulate)
+from .sympoly import (_divided, _Divisors, _integral, _packed,
+                      _primitive, _rescale, _unpacked, accumulate)
 from .weyl import DiffOp, HomogOp, op_mul
 
 
@@ -68,18 +76,22 @@ class GroebnerBasis:
     def _divisors(self):
         """The elements prepared under the order for every division by the
         basis (an opdiv._OpDivisors, which mora_div takes as it is), built
-        on the first division and kept as long as the basis."""
+        on the first division and kept as long as the basis, with the
+        packed copies certification divides by."""
         return _OpDivisors(self.elements, self.order)
 
 
 def ecart(op, order):
     """Spread between an operator's top total degree and its leading one."""
-    return op.max_total_degree() - sum(op.le(order))
+    op = _packed(op, order)
+    lead = op.le(order)
+    return op.max_total_degree() - order.packing.degree(lead)
 
 
 def _mono(cls, top, low, coeff):
-    """coeff * x^(top - low), for exponents low <= top."""
-    return cls._raw({tuple(map(sub, top, low)): coeff})
+    """coeff * x^(top - low) in the packed ring cls, for the K of an
+    exponent low dividing top."""
+    return cls._raw({top - low: coeff})
 
 
 def _ratio(c, d):
@@ -95,19 +107,12 @@ def _ratio(c, d):
     return q.numerator, q.denominator
 
 
-def _divides(a, b):
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
-
-
 def _top(heap, h):
-    """Exponent of the top entry of a lazy heap over h, dropping entries
-    whose exponent has left h on the way."""
-    while heap[0][1] not in h:
+    """K of the top of a lazy heap of -K over the packed dict h, dropping
+    entries whose exponent has left h on the way."""
+    while -heap[0] not in h:
         heapq.heappop(heap)
-    return heap[0][1]
+    return -heap[0]
 
 
 def _subtract(h, product):
@@ -126,59 +131,68 @@ def mora_div(p, divisors, order):
     not reduced.  Buchberger's loop reads only the remainder; the unit and
     quotients certify b(s) in find_generator.
 
-    The loop pseudo-divides on ints by the primitive copies of a
+    The loop pseudo-divides on ints by the packed primitive copies of a
     sympoly._Divisors, taking one prepared under this order, such as a
-    GroebnerBasis's _divisors, as it is.  It starts from lam p, lam the lcm
-    of p's denominators; h, the unit and the quotients hold lam times those
-    of division over Q.  Where the quotient term's coefficient a/b is not an
-    int, all of them and lam are multiplied by b first.  The leader, the
-    ecart and the pool order read exponents only, so the steps are those
-    over Q, and one division by lam at exit gives its exact relation.
+    GroebnerBasis's _divisors or Buchberger's growing basis, as it is.  It
+    starts from lam p, lam the lcm of p's denominators; h, the unit and the
+    quotients hold lam times those of division over Q.  Where the quotient
+    term's coefficient a/b is not an int, all of them and lam are
+    multiplied by b first.  The leader, the ecart and the pool order read
+    exponents only, so the steps are those over Q, and one division by lam
+    at exit gives its exact relation, unpacked there when p was not packed.
     """
     divisors = _Divisors.prepare(divisors, order)
-    cls = p.__class__
-    # pool entries: (leading, ecart, op, origin)
-    # origin: divisor index, or the (unit, quotients) snapshot for a partial
-    # remainder of p itself.
-    pool = [(g.leading(order), ecart(g, order), g, i)
-            for i, g in enumerate(divisors.copies)]
+    packing = order.packing
+    sign, guard, degree = packing.sign, packing.guard, packing.degree
+    dividend = _packed(p, order)
+    cls = dividend.__class__
+    # pool entries: (sign * K of the leading exponent, leading term, ecart,
+    # op, origin).  origin: divisor index, or the (unit, quotients) snapshot
+    # for a partial remainder of p itself.
+    pool = []
+    for i, g in enumerate(divisors.packed()):
+        lead = g.leading(order)
+        pool.append((sign * lead[0], lead, ecart(g, order), g, i))
 
-    # Lazy max-heaps over the exponents of h, by order and by total degree
-    # (for the ecart): an exponent is pushed when a subtraction brings it
-    # into h, and an entry whose exponent has left h is dropped when it
-    # reaches the top.
-    lam, h = _integral(p.terms)
-    unit = {(0,) * order.arity: lam}
+    # Lazy max-heaps over the exponents of h, by K and by total degree (for
+    # the ecart): an exponent is pushed when a subtraction brings it into
+    # h, and an entry whose exponent has left h is dropped when it reaches
+    # the top.
+    lam, h = _integral(dividend.terms)
+    unit = {0: lam}
     quots = [{} for _ in divisors.copies]
-    by_order = [(_descending_key(order, e), e) for e in p.terms]
-    by_degree = [(-sum(e), e) for e in p.terms]
+    by_order = [-k for k in dividend.terms]
+    by_degree = [(-degree(k), k) for k in dividend.terms]
     heapq.heapify(by_order)
     heapq.heapify(by_degree)
     while h:
         he = _top(by_order, h)
+        mark = sign * he
         best = None
         for entry in pool:
-            if _divides(entry[0][0], he):
-                if best is None or entry[1] < best[1]:
+            if not (mark - entry[0]) & guard:
+                if best is None or entry[2] < best[2]:
                     best = entry
         if best is None:
             break
-        h_ecart = sum(_top(by_degree, h)) - sum(he)
-        if best[1] > h_ecart:
-            pool.append(((he, h[he]), h_ecart, cls._raw(dict(h)),
+        while by_degree[0][1] not in h:
+            heapq.heappop(by_degree)
+        h_ecart = -by_degree[0][0] - degree(he)
+        if best[2] > h_ecart:
+            pool.append((mark, (he, h[he]), h_ecart, cls._raw(dict(h)),
                          (cls._raw(dict(unit)),
                           [cls._raw(dict(q)) for q in quots])))
-        prov = best[3]
-        a, b = _ratio(-h[he], best[0][1])
+        prov = best[4]
+        a, b = _ratio(-h[he], best[1][1])
         if b != 1:
             for d in [h, unit] + quots:
                 _rescale(d, b)
             lam *= b
         # m is minus the quotient term, so every update below is a sum
-        m = _mono(cls, he, best[0][0], a)
-        for e in _subtract(h, op_mul(m, best[2])):
-            heapq.heappush(by_order, (_descending_key(order, e), e))
-            heapq.heappush(by_degree, (-sum(e), e))
+        m = _mono(cls, he, best[1][0], a)
+        for e in _subtract(h, op_mul(m, best[3])):
+            heapq.heappush(by_order, -e)
+            heapq.heappush(by_degree, (-degree(e), e))
         if isinstance(prov, int):
             accumulate(quots[prov], (-m).terms.items())
         else:
@@ -187,13 +201,12 @@ def mora_div(p, divisors, order):
             for q, qs in zip(quots, q_s):
                 if qs.terms:
                     accumulate(q, op_mul(m, qs).terms.items())
+    if dividend is not p:
+        cls, back = p.__class__, packing.unpack_terms
+        unit, h, quots = back(unit), back(h), [back(q) for q in quots]
     return MoraResult(_divided(cls, unit, lam),
                       divisors.quotients(cls, quots, lam),
                       _divided(cls, h, lam))
-
-
-def _lcm_exp(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def spair(p, q, order, mul=op_mul):
@@ -202,48 +215,61 @@ def spair(p, q, order, mul=op_mul):
     With a/b = c_q/c_p in lowest terms for the leading coefficients, this is
     a m_p p - b m_q q, where the monomials m_p and m_q lift the two leading
     exponents to their join.  For int leads a = c_q/d and b = c_p/d with
-    d = gcd(c_p, c_q); for monic p and q both are 1."""
-    (ep, cp), (eq, cq) = p.leading(order), q.leading(order)
-    join = _lcm_exp(ep, eq)
+    d = gcd(c_p, c_q); for monic p and q both are 1.  Packed operands give
+    a packed S-pair; others are packed for it and it is unpacked."""
+    pp, qq = _packed(p, order), _packed(q, order)
+    (ep, cp), (eq, cq) = pp.leading(order), qq.leading(order)
+    join = order.packing.join(ep, eq)
     a, b = _ratio(cq, cp)
-    return (mul(_mono(p.__class__, join, ep, a), p)
-            - mul(_mono(q.__class__, join, eq, b), q))
+    s = (mul(_mono(pp.__class__, join, ep, a), pp)
+         - mul(_mono(qq.__class__, join, eq, b), qq))
+    return s if pp is p else s.unpacked()
 
 
 def _buchberger_loop(gens, order, reduce_fn, mul, select_key):
-    """Shared Buchberger skeleton; reduce_fn maps an S-pair to a remainder.
-    A nonzero generator or remainder joins the basis as its primitive
-    multiple."""
-    basis = [_primitive(g, order) for g in gens if g.terms]
-    if not basis:
-        raise InputError("all generators are zero")
-    leads = [g.le(order) for g in basis]
-    # short exponent vectors, as in reduce_global: a lead with a bit outside
-    # the join's cannot divide it, so the chain test skips _divides
-    bits = [1 << i for i in range(len(leads[0]))]
-    masks = [sum(compress(bits, e)) for e in leads]
+    """Shared Buchberger skeleton; reduce_fn maps an S-pair and the basis
+    to a remainder, and select_key a pair's join, an exponent tuple, to its
+    selection key.
 
-    # (select_key(lcm), i, j, lcm) per open pair; (key, i, j) is unique, so
-    # the heap never compares two lcms and pops in (key, i, j) order.
+    The basis is one sympoly._Divisors that grows by append(): each nonzero
+    generator and remainder joins it packed, as its primitive multiple, and
+    every reduction divides by it as it stands.  Returns its elements,
+    packed."""
+    packing = order.packing
+    sign, guard = packing.sign, packing.guard
+    basis = _Divisors((), order)
+    for g in gens:
+        if g.terms:
+            basis.append(_primitive(_packed(g, order), order))
+    elements = basis.copies
+    if not elements:
+        raise InputError("all generators are zero")
+    # the leads as exponent tuples, for the joins, and as sign * K, for the
+    # chain criterion's divisibility test
+    exps = [packing.unpack(g.le(order)) for g in elements]
+    marks = [sign * g.le(order) for g in elements]
+
+    # (select_key(lcm), i, j, sign * K(lcm)) per open pair; (key, i, j) is
+    # unique, so the heap never compares two joins and pops in (key, i, j)
+    # order.
     queue = []
 
     def add_pairs(j):
         for i in range(j):
-            lcm = _lcm_exp(leads[i], leads[j])
-            heapq.heappush(queue, (select_key(lcm), i, j, lcm))
+            lcm = tuple(map(max, exps[i], exps[j]))
+            heapq.heappush(queue, (select_key(lcm), i, j,
+                                   sign * packing.pack(lcm)))
 
-    for j in range(len(basis)):
+    for j in range(len(elements)):
         add_pairs(j)
     done = set()
     while queue:
-        _, i, j, lcm_ij = heapq.heappop(queue)
+        _, i, j, join = heapq.heappop(queue)
         # chain criterion: some k already paired off against both i and j
         # inside the join.
         skip = False
-        outside = ~sum(compress(bits, lcm_ij))
-        for k in range(len(basis)):
-            if (k in (i, j) or masks[k] & outside
-                    or not _divides(leads[k], lcm_ij)):
+        for k, mark in enumerate(marks):
+            if k == i or k == j or (join - mark) & guard:
                 continue
             a = (min(i, k), max(i, k))
             b = (min(j, k), max(j, k))
@@ -253,36 +279,40 @@ def _buchberger_loop(gens, order, reduce_fn, mul, select_key):
         done.add((i, j))
         if skip:
             continue
-        s = spair(basis[i], basis[j], order, mul)
+        s = spair(elements[i], elements[j], order, mul)
         if not s.terms:
             continue
         r = reduce_fn(s, basis)
         if not r.terms:
             continue
         basis.append(_primitive(r, order))
-        leads.append(basis[-1].le(order))
-        masks.append(sum(compress(bits, leads[-1])))
-        add_pairs(len(basis) - 1)
-    return basis
+        lead = elements[-1].le(order)
+        exps.append(packing.unpack(lead))
+        marks.append(sign * lead)
+        add_pairs(len(elements) - 1)
+    return elements
 
 
 def _minimalize(basis, order):
-    """Drop elements whose leading exponent another element's divides."""
-    leads = [g.le(order) for g in basis]
+    """Drop elements whose leading exponent another element's divides, and
+    sort the rest by lead.  The elements may be packed or not."""
+    packing = order.packing
+    leads = [e if type(e) is int else packing.pack(e)
+             for e in (g.le(order) for g in basis)]
     keep = []
     for i, g in enumerate(basis):
         redundant = False
         for j in range(len(basis)):
             if i == j:
                 continue
-            if _divides(leads[j], leads[i]):
+            if packing.divides(leads[j], leads[i]):
                 if leads[j] != leads[i] or j < i:
                     redundant = True
                     break
         if not redundant:
-            keep.append(g)
-    keep.sort(key=lambda g: order.key(g.le(order)))
-    return keep
+            keep.append((leads[i], g))
+    keep.sort(key=lambda kept: kept[0])
+    return [g for _, g in keep]
 
 
 def buchberger_mora(gens, order):
@@ -292,10 +322,11 @@ def buchberger_mora(gens, order):
     def reduce_fn(s, basis):
         return mora_div(s, basis, order).remainder
 
-    tie_key = MatrixOrder(rows=(), tie=order.tie, arity=order.arity).key
+    tie_key = MatrixOrder(rows=(), tie=order.tie,
+                          arity=order.arity).packing.pack
     basis = _buchberger_loop(gens, order, reduce_fn, op_mul, tie_key)
-    return GroebnerBasis([g.monic(order) for g in _minimalize(basis, order)],
-                         order)
+    return GroebnerBasis([_unpacked(g).monic(order)
+                          for g in _minimalize(basis, order)], order)
 
 
 def reduce_global(p, divisors, order, mul=op_mul):
@@ -304,34 +335,41 @@ def reduce_global(p, divisors, order, mul=op_mul):
     Pseudo-division: when the quotient term's coefficient a/b (in lowest
     terms) is not an integer, the dividend h and the remainder so far are
     multiplied by b first, so ints stay ints; the result is divided by the
-    product of those factors, so it is the exact normal form over Q."""
-    leads = [g.leading(order) for g in divisors]
-    # short exponent vectors: one bit per nonzero slot.  A lead with a bit
-    # outside the leader's cannot divide it, so _divides is skipped.
-    bits = [1 << i for i in range(p.arity or 0)]
-    masks = [sum(compress(bits, eg)) for eg, _ in leads]
-    cls = p.__class__
+    product of those factors, so it is the exact normal form over Q.  It
+    runs packed, and a p that was not packed gets its result unpacked."""
+    packing = order.packing
+    sign, guard = packing.sign, packing.guard
+    dividend = _packed(p, order)
+    cls = dividend.__class__
+    # (sign * K, K, coefficient) of each divisor's lead, and the divisor
+    leads = []
+    for g in divisors:
+        g = _packed(g, order)
+        eg, cg = g.leading(order)
+        leads.append((sign * eg, eg, cg, g))
     remainder = {}
     scale = 1
     # lazy max-heap over the exponents of h, kept as in mora_div
-    h = dict(p.terms)
-    heap = [(_descending_key(order, e), e) for e in p.terms]
+    h = dict(dividend.terms)
+    heap = [-k for k in dividend.terms]
     heapq.heapify(heap)
     while h:
         he = _top(heap, h)
-        outside = ~sum(compress(bits, he))
-        for (eg, cg), mask, g in zip(leads, masks, divisors):
-            if not mask & outside and _divides(eg, he):
+        mark = sign * he
+        for lead_mark, eg, cg, g in leads:
+            if not (mark - lead_mark) & guard:
                 a, b = _ratio(h[he], cg)
                 if b != 1:
                     for d in (h, remainder):
                         _rescale(d, b)
                     scale *= b
                 for e in _subtract(h, mul(_mono(cls, he, eg, -a), g)):
-                    heapq.heappush(heap, (_descending_key(order, e), e))
+                    heapq.heappush(heap, -e)
                 break
         else:
             remainder[he] = h.pop(he)
+    if dividend is not p:
+        cls, remainder = p.__class__, packing.unpack_terms(remainder)
     if scale != 1:
         return _divided(cls, remainder, scale)
     return cls._raw(remainder)
@@ -344,12 +382,14 @@ def buchberger_global(gens, order, mul=op_mul):
     def reduce_fn(s, basis):
         return reduce_global(s, basis, order, mul)
 
-    basis = _buchberger_loop(gens, order, reduce_fn, mul, order.key)
+    basis = _buchberger_loop(gens, order, reduce_fn, mul,
+                             order.packing.pack)
     # no lead divides another, so each element keeps its lead and the list
     # keeps _minimalize's order
     basis = _minimalize(basis, order)
-    return [reduce_global(g, basis[:i] + basis[i + 1:], order, mul)
-            .monic(order) for i, g in enumerate(basis)]
+    return [_unpacked(reduce_global(g, basis[:i] + basis[i + 1:], order,
+                                    mul)).monic(order)
+            for i, g in enumerate(basis)]
 
 
 def _homogenize(op):

@@ -165,7 +165,7 @@ def approx_nf(p, gb, bound):
 
 def s_power_nfs(gb, bound, prev=None):
     """Divisions (approx_nf) of 1, s, s^2, ... at truncation degree bound,
-    or of the powers of s past the one whose division prev is.
+    or of the powers of s past the one whose normal form prev is.
 
     Chained: NF(1) = approx_nf(1) and NF(s^(i+1)) = approx_nf(s * NF(s^i)).
     Division leaves an exact identity s^i = sum(q_j g_j) + NF(s^i), and s is
@@ -182,9 +182,10 @@ def s_power_nfs(gb, bound, prev=None):
     while True:
         if prev is not None:
             p = DiffOp._raw({e[:mid] + (e[mid] + 1,) + e[mid + 1:]: c
-                             for e, c in prev.remainder.terms.items()})
-        prev = approx_nf(p, gb, bound)
-        yield prev
+                             for e, c in prev.terms.items()})
+        div = approx_nf(p, gb, bound)
+        prev = div.remainder
+        yield div
 
 
 def dependency_kernel(nfs, bound):
@@ -235,20 +236,22 @@ def find_generator(gb, n0, nmax):
     degrees run from n0 up to nmax; n0 < 1 or n0 > nmax is an InputError.
     """
     _check_bounds(n0, nmax)
+    # (normal form, exact) per power of s: the search reads no quotient
     d, chain = 0, []
     for bound in range(n0, nmax + 1):
-        chain = list(itertools.takewhile(lambda div: div.exact, chain))
-        pulled = s_power_nfs(gb, bound, chain[-1] if chain else None)
+        chain = list(itertools.takewhile(lambda link: link[1], chain))
+        pulled = s_power_nfs(gb, bound, chain[-1][0] if chain else None)
         pivots = []
         for i in itertools.count():
             if i == len(chain):
-                chain.append(next(pulled))
+                div = next(pulled)
+                chain.append((div.remainder, div.exact))
             dependency = add_column(
-                pivots, chain[i].remainder.truncate(bound).terms, i)
+                pivots, chain[i][0].truncate(bound).terms, i)
             if i >= d and len(pivots) <= i:
                 break
         d = i
-        kernel = dependency_kernel([div.remainder for div in chain], bound)
+        kernel = dependency_kernel([nf for nf, _ in chain], bound)
         # s^0..s^(d-1) are independent, so both eliminations find one
         # dependency, monic in s^d
         if kernel != [dependency]:

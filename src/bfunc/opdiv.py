@@ -142,12 +142,15 @@ def op_approx_div(p, divisors, bound, order=None):
                 for d in quotients + [remainder]:
                     _rescale(d, den)
                 scale *= den
-            for (q, a, b), g, acc in zip(qs, divisors.copies, quotients):
+            # the products run on the packed copies, with -ql packed
+            for (q, a, b), g, acc in zip(qs, divisors.packed(), quotients):
                 if q:
                     a *= den
                     ql = DiffOp._raw({e: c * a // b for e, c in q.items()})
                     accumulate(acc, ql.terms.items())
-                    accumulate(remainder, op_mul(-ql, g).terms.items())
+                    product = op_mul(g.__class__.of(-ql), g)
+                    accumulate(remainder, g.packing.unpack_terms(
+                        product.terms).items())
         cur -= losses[k]
     return OpDivisionResult(
         divisors.quotients(DiffOp, quotients, scale),

@@ -6,10 +6,16 @@ block positionally mirrors the derivation symbols.  Orders are matrices of
 integer weight rows refined by a named term order; comparison is
 lexicographic on the row values with the term order breaking remaining ties,
 so two exponents compare equal only when they are identical.
+
+Inside the division loops an exponent is one int, its packed key K (see
+Packing): K compares as the order's key and adds as the exponent, and its
+low fields hold the exponent itself.
 """
 
 import operator
+import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InputError
 
@@ -58,18 +64,136 @@ class MatrixOrder:
         weights = tuple([sum(map(operator.mul, row, exp)) for row in self.rows])
         return weights + TIE_ORDERS[self.tie](exp)
 
+    @cached_property
+    def packing(self):
+        """The Packing of this order, made on first use and kept with it."""
+        return Packing(self)
 
-def _descending_key(order, exp):
-    """order.key(exp) with every int negated, so that a heapq min-heap of
-    them pops the largest exponent first.  The grlex and grevlex tie keys
-    end in a tuple of fixed length, which is negated in place: a flattened
-    key would be a tuple length nothing else uses, and the interpreter keeps
-    up to 2000 freed tuples of each length for reuse."""
-    key = order.key(exp)
-    if type(key[-1]) is tuple:
-        return tuple(map(operator.neg, key[:-1])) + (
-            tuple(map(operator.neg, key[-1])),)
-    return tuple(map(operator.neg, key))
+
+WIDTH = 16
+
+
+class Packing:
+    """One int per exponent that is the order's key itself.
+
+    The key of a MatrixOrder, its weight-row values and then the entries of
+    its tie key, is written as signed digits of radix 2^W, W = WIDTH, the
+    most significant first.  Every digit is linear in the exponent, so
+    K(e) = sum(e_i * slots[i]) with one precomputed int per slot, and:
+
+    * K(a + b) = K(a) + K(b): a monomial product is one addition, and so is
+      each Leibniz lowering step;
+    * K(a) < K(b) exactly when order.key(a) < order.key(b), because every
+      digit stays inside (-2^(W-1), 2^(W-1)), so the digits below one that
+      differs cannot outweigh it;
+    * the tie key ends in the exponent itself (lex, grlex) or its negation
+      (grevlex), so the low `arity` digits of sign*K, sign -1 under grevlex
+      and 1 otherwise, are the exponent in plain W-bit fields: low(K) =
+      (sign*K) & self.low.  Slot i sits at bit shifts[i].  Each field
+      stays below 2^(W-1), so its top bit (guard) is free, and a divides b
+      exactly when sign*(K(b) - K(a)) has no guard bit set (Monagan and
+      Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+      exponent vectors", CASC 2007).  The total degree is low(K) modulo
+      2^W - 1, where the fields sum as digits do.
+
+    All of this holds while the total degree stays within limit, the
+    largest d with d * max|row entry| < 2^(W-1): a weight row is at most
+    its largest entry times the total degree, and a tie digit at most the
+    total degree.  pack() checks each exponent it is given, and the
+    operator product checks the sum of its operands' top degrees, so no
+    key ever wraps silently.  W = 16 makes the fields struct's unsigned
+    shorts and leaves limit = 32767 under the library's orders, whose row
+    entries are 0 and +-1: the Buchberger and Mora runs that are known to
+    grow furthest reach lead degree 118, so an exponent would have to
+    outgrow that about 277-fold before InputError.
+    """
+
+    __slots__ = ("order", "arity", "slots", "sign", "low", "guard", "field",
+                 "shifts", "limit", "rings", "_fields", "_endian")
+
+    def __init__(self, order):
+        arity, width = order.arity, WIDTH
+        units = [[int(i == j) for i in range(arity)] for j in range(arity)]
+        digits = [list(row) for row in order.rows]
+        if order.tie == "lex":
+            digits += units
+        elif order.tie == "grlex":
+            digits += [[1] * arity] + units
+        else:
+            digits += [[1] * arity] + [[-v for v in u] for u in units[::-1]]
+        top = len(digits) - 1
+        self.order, self.arity = order, arity
+        self.slots = tuple(
+            sum(d[i] << width * (top - j) for j, d in enumerate(digits))
+            for i in range(arity))
+        reverse = order.tie == "grevlex"
+        self.sign = -1 if reverse else 1
+        self.low = (1 << width * arity) - 1
+        self.field = (1 << width) - 1
+        self.guard = sum(1 << width * j + width - 1 for j in range(arity))
+        self.shifts = tuple(width * (i if reverse else arity - 1 - i)
+                            for i in range(arity))
+        big = max((abs(v) for row in order.rows for v in row), default=1)
+        self.limit = ((1 << width - 1) - 1) // max(big, 1)
+        # the _Packed ring classes made under this packing (sympoly._ring)
+        self.rings = {}
+        self._endian = "little" if reverse else "big"
+        self._fields = struct.Struct(
+            ("<" if reverse else ">") + "H" * arity)
+
+    def pack(self, exp):
+        """K(exp); InputError for an exponent of another arity, with a
+        negative entry or with a total degree past limit."""
+        self.check((exp,))
+        return sum(map(operator.mul, exp, self.slots))
+
+    def check(self, exps):
+        """The largest total degree of the nonempty exps; InputError for an
+        exponent pack() refuses."""
+        if set(map(len, exps)) != {self.arity}:
+            raise InputError(f"exponent arity does not match order arity "
+                             f"{self.arity}")
+        if min(map(min, exps)) < 0:
+            raise InputError("exponent with a negative entry")
+        top = max(map(sum, exps))
+        if top > self.limit:
+            raise InputError(f"total degree {top} does not fit the packed "
+                             f"fields (at most {self.limit})")
+        return top
+
+    def pack_terms(self, terms):
+        """(largest total degree, the nonempty dict terms keyed by K instead
+        of exponent tuples), checked as pack() checks."""
+        top = self.check(terms)
+        slots = self.slots
+        return top, {sum(map(operator.mul, e, slots)): c
+                     for e, c in terms.items()}
+
+    def unpack(self, key):
+        """The exponent tuple whose K is key."""
+        return self._fields.unpack(
+            (self.sign * key & self.low).to_bytes(2 * self.arity,
+                                                  self._endian))
+
+    def unpack_terms(self, data):
+        """The dict data keyed by exponent tuples instead of K."""
+        unpack, sign, low = self._fields.unpack, self.sign, self.low
+        size, endian = 2 * self.arity, self._endian
+        return {unpack((sign * k & low).to_bytes(size, endian)): c
+                for k, c in data.items()}
+
+    def degree(self, key):
+        """Total degree of the exponent whose K is key."""
+        return ((self.sign * key) & self.low) % self.field
+
+    def divides(self, a, b):
+        """Whether the exponent of K a divides (is at most, slot by slot)
+        that of K b."""
+        return not (self.sign * (b - a)) & self.guard
+
+    def join(self, a, b):
+        """K of the slotwise maximum of the exponents of K a and K b."""
+        return self.pack(tuple(map(max, self.unpack(a), self.unpack(b))))
 
 
 def series_order(arity, tie="grevlex"):

@@ -17,6 +17,13 @@ integer multiples of those sums: _integral and _primitive take coefficients
 to ints, and _divided brings them back to rationals at exit.  Every division
 divides by the primitive copies of its divisors that a _Divisors makes, and
 its quotients leave through _Divisors.quotients.
+
+The Buchberger loops, Mora division, reduce_global and the operator product
+run on _Packed polynomials, whose terms map the packed key K of each
+exponent (orders.Packing) to its coefficient: a product of monomials is one
+int addition, the largest key is the leader, and divisibility is one
+subtraction.  Tuples stay at the boundary: a _Packed is made from a
+SymbolPoly with of() and turned back with unpacked(), once at each end.
 """
 
 import math
@@ -85,6 +92,113 @@ def _divided(cls, data, den, num=1):
     return cls._raw({e: Rational(c * num, den) for e, c in data.items()})
 
 
+class _Packed:
+    """A polynomial on packed exponents: terms maps the int K of each
+    exponent under one orders.Packing to its nonzero coefficient.
+
+    Each (packing, algebra) pair has its own subclass, a ring made by
+    _ring, whose class attributes name them, so cls._raw, and with it
+    _primitive, _divided and _Divisors.quotients, work on these as on a
+    SymbolPoly.  leading() is the largest K and must be asked under the
+    packing's order.  Like a SymbolPoly, a _Packed never changes once
+    wrapped, so its lead and top total degree are kept once found.
+    """
+
+    __slots__ = ("terms", "_lead", "_top")
+    packing = algebra = None
+    # the ring's Leibniz constants, set by weyl._steps on its first product
+    steps = None
+
+    @classmethod
+    def _raw(cls, data):
+        obj = object.__new__(cls)
+        obj.terms = data
+        obj._lead = obj._top = None
+        return obj
+
+    @classmethod
+    def zero(cls):
+        return cls._raw({})
+
+    @classmethod
+    def of(cls, poly):
+        """poly, a SymbolPoly of this ring's algebra, packed, with its top
+        total degree kept."""
+        if not poly.terms:
+            return cls.zero()
+        top, data = cls.packing.pack_terms(poly.terms)
+        packed = cls._raw(data)
+        packed._top = top
+        return packed
+
+    def unpacked(self):
+        """This polynomial as a SymbolPoly of the ring's algebra, with the
+        lead kept if this one has it."""
+        poly = self.algebra._raw(self.packing.unpack_terms(self.terms))
+        if self._lead is not None:
+            order, (key, coeff) = self._lead
+            poly._lead = order, (self.packing.unpack(key), coeff)
+        return poly
+
+    def is_zero(self):
+        return not self.terms
+
+    def __neg__(self):
+        return self.__class__._raw({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self.__class__._raw(accumulate(
+            dict(self.terms), ((k, -c) for k, c in other.terms.items())))
+
+    def leading(self, order):
+        """(K, coefficient) of the largest term under order, which must be
+        the packing's order."""
+        kept = self._lead
+        if kept is not None:
+            return kept[1]
+        if not self.terms:
+            raise ZeroLeadingTermError("leading term of zero is undefined")
+        if order is not self.packing.order and order != self.packing.order:
+            raise InputError("leading term asked under another order "
+                             "than the packing's")
+        key = max(self.terms)
+        lead = key, self.terms[key]
+        self._lead = order, lead
+        return lead
+
+    def le(self, order):
+        return self.leading(order)[0]
+
+    def max_total_degree(self):
+        """Largest total degree of a term; the zero polynomial has none."""
+        if self._top is None:
+            self._top = max(map(self.packing.degree, self.terms))
+        return self._top
+
+
+def _ring(packing, algebra):
+    """The _Packed subclass of algebra's polynomials under packing, made
+    once and kept with the packing."""
+    ring = packing.rings.get(algebra)
+    if ring is None:
+        ring = packing.rings[algebra] = type(
+            f"Packed{algebra.__name__}", (_Packed,),
+            {"__slots__": (), "packing": packing, "algebra": algebra})
+    return ring
+
+
+def _packed(p, order):
+    """p packed under order's packing; p itself when it is packed."""
+    if isinstance(p, _Packed):
+        return p
+    return _ring(order.packing, p.__class__).of(p)
+
+
+def _unpacked(p):
+    """p as a SymbolPoly; p itself when it is not packed."""
+    return p.unpacked() if isinstance(p, _Packed) else p
+
+
 class _Divisors:
     """Nonzero divisors g_i prepared under one order for the dividing loops.
 
@@ -94,13 +208,15 @@ class _Divisors:
     exit; k_i is the int 1 where g_i is primitive, its own copy.  Iterating
     gives the g_i.  prepare() hands back a set-up made under the same order
     object as it is.  A subclass adds what its division reads from the
-    divisors alone.
+    divisors alone.  Buchberger's loop grows one set-up of its packed
+    elements with append() and hands it to every division it makes; any
+    other set-up packs its copies when a division first asks (packed()).
     """
 
-    __slots__ = ("given", "order", "copies", "factors")
+    __slots__ = ("given", "order", "copies", "factors", "_packed")
 
     def __init__(self, divisors, order):
-        self.given = tuple(divisors)
+        self.given = list(divisors)
         if any(g.is_zero() for g in self.given):
             raise InputError("divisors must be nonzero")
         self.order = order
@@ -108,6 +224,24 @@ class _Divisors:
         self.factors = [1 if h is g else
                         Rational(h.leading(order)[1], g.leading(order)[1])
                         for h, g in zip(self.copies, self.given)]
+        self._packed = None
+
+    def append(self, g):
+        """Add g, primitive already, as a divisor and its own copy."""
+        self.given.append(g)
+        self.copies.append(g)
+        self.factors.append(1)
+
+    def packed(self):
+        """The copies packed under the order: the copies themselves when
+        they are packed, as in Buchberger's loop, and otherwise packed on
+        the first call and kept."""
+        copies = self.copies
+        if not copies or isinstance(copies[0], _Packed):
+            return copies
+        if self._packed is None:
+            self._packed = [_packed(h, self.order) for h in copies]
+        return self._packed
 
     @classmethod
     def prepare(cls, divisors, order):

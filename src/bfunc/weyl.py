@@ -10,23 +10,29 @@ summed over multi-indices nu in the x-block; s is central.  The symbol map is
 a positional bijection between d^beta and xi^beta, not a ring map.
 
 op_mul makes one pass over the pairs of terms and collects their Leibniz
-terms once.  Most pairs have no d_i in the left term meeting an x_i in the
-right one, and give only their plain product; a pair whose d's and x's meet
-in one index walks that index's binomial factors by an int recurrence, and
-only a pair that meets in several takes the general multi-index sum.
+terms once, on packed exponents (orders.Packing): an exponent is one int K,
+the product of two terms is K_a + K_b, and each lowering step of the sum
+adds a constant per index.  Most pairs have no d_i in the left term meeting
+an x_i in the right one, and give only their plain product; a pair whose d's
+and x's meet in one index walks that index's binomial factors by an int
+recurrence, and a pair that meets in several combines the walks of its
+indices.  The division loops hand op_mul packed operands; tuple operands are
+packed under a plain order for the product and unpacked after.
 
 The weight e gives 0 to each x, 1 to s and to each xi.  Initial parts with
 respect to e drive the operator division layer, and they multiply
 commutatively: the top e-part of a product is the product of the top e-parts.
 """
 
-import itertools
-import math
 from dataclasses import dataclass
-from operator import add
 
 from .errors import InputError, ZeroLeadingTermError
-from .sympoly import SymbolPoly, accumulate
+from .orders import MatrixOrder
+from .sympoly import SymbolPoly, _Packed, _ring, accumulate
+
+# arity -> the packing of the plain order (no rows, lex ties) under which
+# op_mul multiplies tuple operands
+_PLAIN = {}
 
 
 def op_mul(a, b):
@@ -42,62 +48,129 @@ def op_mul(a, b):
     f_k = comb(beta_i, k) perm(gamma_i, k) = f_(k-1) (beta_i - k + 1)
     (gamma_i - k + 1) / k, an exact division of ints; a coefficient is only
     ever multiplied, since // would floor a Fraction.  A pair that overlaps
-    in more indices takes the general sum.
+    in more indices takes every combination of those walks, the product of
+    their factors times the coefficient.
 
     For a HomogOp left factor the last slot is a central homogenizing
     variable h and every commutator picks up h^2, so homogeneous operators
     have homogeneous products.
+
+    Packed operands (sympoly._Packed, of one packing) give a packed product
+    of a's ring; tuple operands are packed, multiplied and unpacked.
     """
+    if isinstance(a, _Packed):
+        return _product(a, b)
     if not a.terms or not b.terms:
         return a.__class__.zero()
     length = len(next(iter(a.terms)))
     if len(next(iter(b.terms))) != length:
         raise InputError(f"arity mismatch: {length} vs {b.arity}")
-    n = (length - 1) // 2
-    h = 2 if isinstance(a, HomogOp) else 0
+    packing = _PLAIN.get(length)
+    if packing is None:
+        packing = _PLAIN[length] = MatrixOrder((), "lex", length).packing
+    ring = _ring(packing, a.__class__)
+    return _product(ring.of(a), ring.of(b)).unpacked()
+
+
+def _steps(ring):
+    """The ring's Leibniz constants, made on its first product and kept on
+    it: its packing, the packing's sign, low mask, field mask and degree
+    limit, the mask of the d_i fields of a term's plain exponent, the (i,
+    shift of d_i, shift of x_i) of each base index, and a dict of walks.
+    The walk of (i, beta, gamma) lists (change of K, f_k) for k = 0..min(
+    beta, gamma): lowering x_i and d_i k times each (and raising h by 2k in
+    the homogenized algebra), and f_k = comb(beta, k) perm(gamma, k) by the
+    int recurrence f_k = f_(k-1) (beta - k + 1) (gamma - k + 1) / k."""
+    packing = ring.packing
+    n = (packing.arity - 1) // 2
+    shifts, field = packing.shifts, packing.field
+    ring.steps = (packing, packing.sign, packing.low, field, packing.limit,
+                  sum(field << shifts[n + 1 + i] for i in range(n)),
+                  tuple((i, shifts[n + 1 + i], shifts[i]) for i in range(n)),
+                  {})
+    return ring.steps
+
+
+def _walk(ring, i, beta, gamma):
+    """The walk of (i, beta, gamma) described at _steps."""
+    slots = ring.packing.slots
+    n = (len(slots) - 1) // 2
+    h = 2 if issubclass(ring.algebra, HomogOp) else 0
+    step = h * slots[-1] - slots[i] - slots[n + 1 + i]
+    walk = [(0, 1)]
+    f = 1
+    for k in range(1, min(beta, gamma) + 1):
+        f = f * (beta - k + 1) * (gamma - k + 1) // k
+        walk.append((k * step, f))
+    return walk
+
+
+def _product(a, b):
+    """op_mul on packed operands of one packing, in a's ring.
+
+    A field of a term is read from sign * K, whose low bits are the plain
+    exponent.  A term of b that meets the d_i of a term of a in some indices
+    i takes the walk of each such index; several walks combine with the
+    last index running fastest, nu = 0 first, as itertools.product gives
+    them, and their int factors multiply before the coefficient does."""
+    cls = a.__class__
+    a_terms, b_terms = a.terms, b.terms
+    if not a_terms or not b_terms:
+        return cls.zero()
+    packing, sign, low, field, limit, d_fields, spec, walks = \
+        cls.steps or _steps(cls)
+    if b.__class__.packing is not packing:
+        raise InputError("operands packed under different orders")
+    # every term of the product has at most the sum of the top degrees; a
+    # monomial, as the division loops multiply by, is read directly
+    if len(a_terms) == 1:
+        top = (sign * next(iter(a_terms)) & low) % field
+    else:
+        top = a.max_total_degree()
+    top += b.max_total_degree()
+    if top > limit:
+        raise InputError(f"product of total degree {top} does not fit the "
+                         f"packed fields (at most {limit})")
     items = []
     push = items.append
-    b_items = b.terms.items()
-    for ea, ca in a.terms.items():
-        # the base slots i where a's term carries a d_i
-        dirs = [i for i in range(n) if ea[n + 1 + i]]
-        for eb, cb in b_items:
+    for ka, ca in a_terms.items():
+        sa = sign * ka
+        if not sa & d_fields:
+            if len(a_terms) == 1:
+                # a d-free monomial: one distinct term per term of b
+                return cls._raw({ka + kb: ca * cb
+                                 for kb, cb in b_terms.items()})
+            items += [(ka + kb, ca * cb) for kb, cb in b_terms.items()]
+            continue
+        # (i, beta_i, shift of x_i) where a's term carries a d_i, and the
+        # x_i fields that meet them
+        dirs = []
+        meet = 0
+        for i, d_at, x_at in spec:
+            beta = sa >> d_at & field
+            if beta:
+                dirs.append((i, beta, x_at))
+                meet |= field << x_at
+        for kb, cb in b_terms.items():
             cab = ca * cb
-            base = tuple(map(add, ea, eb))
+            base = ka + kb
             push((base, cab))
-            # the overlap: the slots i of dirs where b's term carries x_i
-            if len(dirs) == 1:
-                hits = dirs if eb[dirs[0]] else ()
-            else:
-                hits = [i for i in dirs if eb[i]] if dirs else ()
-            if not hits:
+            sb = sign * kb
+            if not sb & meet:
                 continue
-            if len(hits) == 1:
-                i = hits[0]
-                beta, gamma = ea[n + 1 + i], eb[i]
-                exp = list(base)
-                f = 1
-                for k in range(1, min(beta, gamma) + 1):
-                    f = f * (beta - k + 1) * (gamma - k + 1) // k
-                    exp[i] -= 1
-                    exp[n + 1 + i] -= 1
-                    exp[-1] += h
-                    push((tuple(exp), cab * f))
-                continue
-            ranges = (range(min(ea[n + 1 + i], eb[i]) + 1) for i in hits)
-            for nu in itertools.product(*ranges):
-                if not any(nu):
-                    continue
-                factor = 1
-                exp = list(base)
-                for i, k in zip(hits, nu):
-                    if k:
-                        factor *= math.comb(ea[n + 1 + i], k) * math.perm(eb[i], k)
-                        exp[i] -= k
-                        exp[n + 1 + i] -= k
-                exp[-1] += h * sum(nu)
-                push((tuple(exp), cab * factor))
-    return a.__class__._raw(accumulate({}, items))
+            combos = None
+            for i, beta, x_at in dirs:
+                gamma = sb >> x_at & field
+                if gamma:
+                    walk = walks.get((i, beta, gamma))
+                    if walk is None:
+                        walk = walks[i, beta, gamma] = _walk(cls, i, beta,
+                                                             gamma)
+                    combos = walk if combos is None else [
+                        (d + e, f * g) for d, f in combos for e, g in walk]
+            for d, f in combos[1:]:
+                push((base + d, cab * f))
+    return cls._raw(accumulate({}, items))
 
 
 class DiffOp(SymbolPoly):
@@ -138,11 +211,10 @@ def in_e(op):
     return e_part(op, ord_e(op))
 
 
-def e_part(op, k, bound=math.inf):
-    """Symbol terms of e-weight exactly k and total degree below bound."""
+def e_part(op, k):
+    """Symbol terms of e-weight exactly k."""
     return SymbolPoly._raw(
-        {e: c for e, c in op.terms.items()
-         if e_weight(e) == k and sum(e) < bound})
+        {e: c for e, c in op.terms.items() if e_weight(e) == k})
 
 
 # -- action on symbolic powers ------------------------------------------------

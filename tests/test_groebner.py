@@ -4,16 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from bfunc import groebner, localb
+from bfunc import groebner, localb, sympoly
 from bfunc.errors import InputError
-from bfunc.groebner import (MoraResult, _divides, _homogenize, _primitive,
+from bfunc.groebner import (MoraResult, _homogenize, _primitive,
                             buchberger_global, buchberger_mora, ecart,
                             groebner_lazard, mora_div, reduce_global, spair)
 from bfunc.localb import ann_fs
 from bfunc.orders import homogenized_order, operator_order
 from bfunc.parser import parse_op, parse_poly
 from bfunc.rationals import Rational, rat
-from bfunc.sympoly import SymbolPoly
+from bfunc.sympoly import SymbolPoly, _unpacked
 from bfunc.weyl import DiffOp, HomogOp, from_symbol, op_mul, ord_e
 
 from conftest import rand_op
@@ -26,6 +26,10 @@ ORD3 = operator_order(3)
 
 def OP(text, names=X):
     return parse_op(text, names)
+
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
 
 
 def check_mora(p, divisors, res, order):
@@ -330,7 +334,8 @@ def test_pair_queue_matches_rescan(monkeypatch):
         formed = []
 
         def recording_spair(p, q, order, mul=op_mul):
-            formed.append((p.le(order), q.le(order)))
+            # the loop's elements are packed, the reference's are not
+            formed.append((_unpacked(p).le(order), _unpacked(q).le(order)))
             return spair(p, q, order, mul)
 
         monkeypatch.setattr(groebner, "spair", recording_spair)
@@ -343,6 +348,45 @@ def test_pair_queue_matches_rescan(monkeypatch):
     got = run()
     monkeypatch.setattr(groebner, "_buchberger_loop", rescan_buchberger_loop)
     assert got == run()
+
+
+def test_loop_prepares_its_basis_once(monkeypatch):
+    # Buchberger's loop grows one division set-up of its packed elements and
+    # hands it to every S-pair division: one preparation per call of either
+    # strategy's loop, and each element made primitive once
+    f = parse_poly("x^3 + y^2 + z^2", XYZ)
+    gens = ann_fs(f) + [from_symbol(f)]
+    hgens = [_homogenize(g) for g in gens]
+    made, copies, sizes = [], [], []
+    init, loop = sympoly._Divisors.__init__, groebner._buchberger_loop
+
+    def counting_init(self, divisors, order):
+        made.append(self)
+        init(self, divisors, order)
+
+    def counting(primitive):
+        def copy(op, order):
+            copies.append(op)
+            return primitive(op, order)
+        return copy
+
+    def recording_loop(*args):
+        basis = loop(*args)
+        sizes.append(len(basis))
+        return basis
+
+    monkeypatch.setattr(sympoly._Divisors, "__init__", counting_init)
+    monkeypatch.setattr(sympoly, "_primitive", counting(sympoly._primitive))
+    monkeypatch.setattr(groebner, "_primitive", counting(groebner._primitive))
+    monkeypatch.setattr(groebner, "_buchberger_loop", recording_loop)
+    for run in (lambda: buchberger_mora(gens, ORD3),
+                lambda: buchberger_global(hgens, homogenized_order(3))):
+        made.clear()
+        copies.clear()
+        sizes.clear()
+        run()
+        assert len(sizes) == 1 and sizes[0] > len(gens)
+        assert len(made) == 1 and len(copies) == sizes[0]
 
 
 def test_validation():
@@ -411,7 +455,9 @@ def test_mora_div_matches_rekeying_loop(monkeypatch, time_limit):
 
     def recorder(kind):
         def recording(p, divisors, order):
-            calls.append((p, list(divisors), order, kind))
+            # unpacked, so that the reference loop can replay the call
+            calls.append((_unpacked(p), [_unpacked(g) for g in divisors],
+                          order, kind))
             return mora_div(p, divisors, order)
         return recording
 
@@ -464,7 +510,9 @@ def test_reduce_global_matches_rescanning_loop(monkeypatch, time_limit):
     calls = []
 
     def recording(p, divisors, order, mul=op_mul):
-        calls.append((p, list(divisors), order, mul))
+        # unpacked, so that the reference loop can replay the call
+        calls.append((_unpacked(p), [_unpacked(g) for g in divisors], order,
+                      mul))
         return reduce_global(p, divisors, order, mul)
 
     monkeypatch.setattr(groebner, "reduce_global", recording)

@@ -271,7 +271,7 @@ def fraction_op_approx_div(p, divisors, bound, order):
     exact = True
     for k in range(top, -1, -1):
         schedule.append((k, losses[k], cur))
-        part = e_part(remainder, k, cur)
+        part = e_part(remainder, k).truncate(cur)
         exact = exact and part.terms == e_part(remainder, k).terms
         if part.terms:
             inner = fraction_series_approx_div(part, initials, sorder, cur - 1)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bfunc.errors import InputError
-from bfunc.orders import (MatrixOrder, _descending_key, elimination_order,
+from bfunc.orders import (WIDTH, MatrixOrder, elimination_order,
                           homogenized_order, operator_order, series_order)
 from bfunc.parser import parse_poly
 from bfunc.printing import format_poly
@@ -128,18 +128,61 @@ def test_key_values(n, slots, block):
             assert order.key(exp) == written_out_key(order, exp)
 
 
+def all_orders(n, block, tie):
+    return [series_order(2 * n + 1, tie), operator_order(n, tie),
+            elimination_order(n, block, tie), homogenized_order(n, tie),
+            MatrixOrder(rows=(), tie=tie, arity=2 * n + 1)]
+
+
 @settings(deadline=None, max_examples=200)
-@given(st.integers(1, 3), st.lists(st.integers(0, 4), min_size=16, max_size=16),
+@given(st.integers(1, 3), st.lists(st.integers(0, 9), min_size=16, max_size=16),
        st.sets(st.integers(0, 2), min_size=1))
-def test_descending_key_reverses_key(n, slots, block):
-    # the division loops keep their leaders in heapq min-heaps of this key
+def test_packing_matches_key(n, slots, block):
+    # the division loops hold each exponent as its packed key K: K orders
+    # as order.key, unpacks to the exponent, adds as the exponents add, and
+    # its guard-bit test agrees with slotwise divisibility
     block = sorted(i for i in block if i < n)
     for tie in ("lex", "grlex", "grevlex"):
-        orders = [series_order(2 * n + 1, tie), operator_order(n, tie),
-                  elimination_order(n, block, tie), homogenized_order(n, tie),
-                  MatrixOrder(rows=(), tie=tie, arity=2 * n + 1)]
-        for order in orders:
+        for order in all_orders(n, block, tie):
+            packing = order.packing
             a, b = tuple(slots[:order.arity]), tuple(slots[8:8 + order.arity])
-            da, db = _descending_key(order, a), _descending_key(order, b)
-            assert (da < db) == (order.key(a) > order.key(b))
-            assert (da == db) == (a == b)
+            ka, kb = packing.pack(a), packing.pack(b)
+            assert (ka < kb) == (order.key(a) < order.key(b))
+            assert (ka == kb) == (a == b)
+            assert packing.unpack(ka) == a and packing.unpack(kb) == b
+            assert packing.pack(tuple(x + y for x, y in zip(a, b))) == ka + kb
+            assert packing.divides(ka, kb) == all(
+                x <= y for x, y in zip(a, b))
+            assert packing.degree(ka) == sum(a)
+            assert packing.join(ka, kb) == packing.pack(tuple(map(max, a, b)))
+
+
+@pytest.mark.parametrize("tie", ["lex", "grlex", "grevlex"])
+def test_packing_at_the_field_limit(tie):
+    # up to the limit the packed key still orders and unpacks exactly; one
+    # past it, in total degree or in a weight row's value, raises instead
+    # of wrapping into a neighbouring field
+    heavy = MatrixOrder(rows=((300, 1, -300),), tie=tie, arity=3)
+    for order in all_orders(1, [0], tie) + [heavy]:
+        packing = order.packing
+        top = (2 ** (WIDTH - 1) - 1) // max(
+            [1] + [abs(v) for row in order.rows for v in row])
+        assert packing.limit == top
+        edge = [(top, 0) + (0,) * (order.arity - 2),
+                (0,) * (order.arity - 1) + (top,),
+                (top - 1, 1) + (0,) * (order.arity - 2),
+                (1,) + (0,) * (order.arity - 2) + (top - 1,),
+                (0,) * order.arity]
+        for a in edge:
+            assert packing.unpack(packing.pack(a)) == a
+            assert packing.degree(packing.pack(a)) == sum(a)
+            for b in edge:
+                assert (packing.pack(a) < packing.pack(b)) == \
+                    (order.key(a) < order.key(b))
+        for past in [(top + 1,) + (0,) * (order.arity - 1),
+                     (top, 1) + (0,) * (order.arity - 2),
+                     (-1,) + (0,) * (order.arity - 1)]:
+            with pytest.raises(InputError):
+                packing.pack(past)
+        with pytest.raises(InputError):
+            packing.pack((0,) * (order.arity + 1))

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from bfunc.errors import InputError, ZeroLeadingTermError
 from bfunc.groebner import reduce_global
 from bfunc.opdiv import _OpDivisors
-from bfunc.orders import elimination_order, operator_order, series_order
+from bfunc.orders import (MatrixOrder, elimination_order, operator_order,
+                          series_order)
 from bfunc.parser import parse_op, parse_poly
 from bfunc.rationals import rat
 from bfunc.sympoly import SymbolPoly, _Divisors
@@ -235,21 +236,26 @@ def test_leading_after_arithmetic(pair):
             assert p.leading(LO1) == max_lead(p, LO1)
 
 
-def test_reduce_global_keys_no_divisor_twice():
+def test_reduce_global_keys_nothing(monkeypatch):
+    # reduce_global runs on packed keys, which are the order's key: it
+    # never calls order.key, on the divisors or on the dividend's terms
     names = ["x"]
     divisors = [parse_op(t, names) for t in ("x*dx + x + 1", "dx^2 - s")]
-    log = KeyLog(elimination_order(1, ()))
+    order = elimination_order(1, ())
     p = parse_op("x^2*dx^3", names)
-    want = reduce_global(p, divisors, log.order)
-    assert reduce_global(p, divisors, log) == want
-    divisor_exps = {e for g in divisors for e in g.terms}
-    assert divisor_exps & set(log.keyed)
-    # s^3 is no lead's multiple and no divisor's term: keying it is all
-    # the second call has to do
-    log.keyed.clear()
+    want = reduce_global(p, divisors, order)
+    keyed = []
+    key = MatrixOrder.key
+
+    def logging_key(self, exp):
+        keyed.append(exp)
+        return key(self, exp)
+
+    monkeypatch.setattr(MatrixOrder, "key", logging_key)
+    assert reduce_global(p, divisors, order) == want
     s3 = parse_op("s^3", names)
-    assert reduce_global(s3, divisors, log) == s3
-    assert log.keyed == [(0, 3, 0)]
+    assert reduce_global(s3, divisors, order) == s3
+    assert keyed == []
 
 
 def test_primitives_factor_of_a_primitive_op_is_int_one():
