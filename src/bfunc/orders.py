@@ -69,6 +69,11 @@ class MatrixOrder:
         """The Packing of this order, made on first use and kept with it."""
         return Packing(self)
 
+    def __getstate__(self):
+        # the kept packing holds a struct.Struct and classes made at run
+        # time, which do not pickle; an unpickled order makes its own
+        return {k: v for k, v in self.__dict__.items() if k != "packing"}
+
 
 WIDTH = 16
 

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -186,3 +188,12 @@ def test_packing_at_the_field_limit(tie):
                 packing.pack(past)
         with pytest.raises(InputError):
             packing.pack((0,) * (order.arity + 1))
+
+
+def test_order_pickles_after_packing():
+    # the packing an order keeps is left out of its pickle and made again
+    order = operator_order(2)
+    key = order.packing.pack((1, 0, 2, 0, 1))
+    copy = pickle.loads(pickle.dumps(order))
+    assert copy == order and "packing" not in vars(copy)
+    assert copy.packing.pack((1, 0, 2, 0, 1)) == key
