@@ -269,10 +269,13 @@ def find_generator(gb, n0, nmax):
 
 # -- rational roots ------------------------------------------------------------
 
-def _eval_poly(coeffs, x):
-    acc = Rational(0)
+def _eval_poly(coeffs, x, m=0):
+    """coeffs (ascending) at x by Horner's rule, reduced mod m if m != 0."""
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
+        if m:
+            acc %= m
     return acc
 
 
@@ -286,126 +289,92 @@ def _deflate(coeffs, root):
     return out
 
 
-def _divmod_poly(a, b):
-    """Quotient and remainder of ascending coefficient lists; b[-1] != 0."""
-    a, q = list(a), [Rational(0)] * max(len(a) - len(b) + 1, 0)
-    for k in range(len(q) - 1, -1, -1):
-        c = q[k] = a[k + len(b) - 1] / b[-1]
+def _primitive_ints(p):
+    g = math.gcd(*p)
+    return [c // g for c in p] if g else p
+
+
+def _pseudo_divmod(a, b):
+    """Integer q, r with b[-1]^e * a = q*b + r, e = len(a) - len(b) + 1.
+
+    Ascending integer lists with len(a) >= len(b); r has fewer terms than
+    b and no trailing zeros.  The scaled dividend divides exactly: every
+    quotient coefficient of b[-1]^e * a by b over Q is an integer.
+    """
+    e, n = len(a) - len(b) + 1, len(b) - 1
+    r, q = [c * b[-1] ** e for c in a], [0] * e
+    for k in range(e - 1, -1, -1):
+        q[k] = c = r[k + n] // b[-1]
         for i, bc in enumerate(b):
-            a[k + i] -= c * bc
-    r = a[:len(b) - 1]
+            r[k + i] -= c * bc
+    r = r[:n]
     while r and not r[-1]:
         r.pop()
     return q, r
 
 
 def _squarefree_ints(work):
-    """Primitive integer polynomial with the distinct roots of work."""
-    g, h = work, [i * c for i, c in enumerate(work)][1:]
+    """Primitive integer polynomial, up to sign, with work's distinct roots.
+
+    work has rational coefficients and degree at least 1.  Over the
+    integers it is p / gcd(p, p'), for p the primitive multiple of work:
+    the gcd is the last nonzero term of the primitive pseudo-remainder
+    sequence of p and p', and the division is exact.
+    """
+    scale = math.lcm(*(c.denominator for c in work))
+    p = _primitive_ints([int(c * scale) for c in work])
+    g, h = p, _primitive_ints([i * c for i, c in enumerate(p)][1:])
     while h:
-        g, h = h, _divmod_poly(g, h)[1]
-    sqf = _divmod_poly(work, g)[0]
-    scale = math.lcm(*(int(c.denominator) for c in sqf))
-    ints = [int(c * scale) for c in sqf]
-    content = math.gcd(*ints)
-    return [c // content for c in ints]
+        g, h = h, _primitive_ints(_pseudo_divmod(g, h)[1])
+    return _primitive_ints(_pseudo_divmod(p, g)[0])
 
 
-def _taylor_shift(r):
-    """r(t + 1), ascending integer coefficients."""
-    r = list(r)
-    for i in range(len(r) - 1):
-        for j in range(len(r) - 2, i - 1, -1):
-            r[j] += r[j + 1]
-    return r
+def _candidates(p):
+    """Rationals that include every rational root of p (Loos 1983).
 
-
-def _variations(r):
-    signs = [c > 0 for c in r if c]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
-def _zero_between(sign, lo, hi):
-    """The integer y in [lo, hi] with sign(y) == 0, or None.
-
-    sign changes at most once over [lo, hi], so bisection keeps it nonzero
-    and different at the two ends until they meet or a zero turns up.
+    p is a square-free integer polynomial of degree d >= 1 with leading
+    coefficient a.  A rational root of p is y/a for an integer root y of
+    the monic P(y) = a^(d-1) p(y/a), and |y| <= B = |a| + max|p_i|
+    (Cauchy).  The prime q is the first at which every root of P mod q is
+    simple.  Newton's step, carrying each root and the inverse of P' there,
+    lifts it to the one root of P mod m = q^(2^k) above it, until m > 2B.
+    Each lift's symmetric residue, over a, is a candidate, so every
+    integer y is found.  Lifts of the other roots mod q give candidates
+    that are not roots of p; the exact test in rational_roots drops them.
     """
-    if lo > hi:
-        return None
-    s_lo, s_hi = sign(lo), sign(hi)
-    while s_lo and s_hi:
-        if s_lo == s_hi or hi - lo < 2:
-            return None
-        mid = (lo + hi) // 2
-        s_mid = sign(mid)
-        if s_mid == s_lo:
-            lo = mid
-        else:
-            hi, s_hi = mid, s_mid
-    return hi if s_lo else lo
-
-
-def _positive_candidates(p):
-    """Candidates that include every positive rational root of p.
-
-    p is a primitive square-free integer polynomial with p(0) != 0, and
-    2^k0 exceeds its Cauchy root bound.  Descartes-rule bisection (Collins &
-    Akritas 1976): each interval 2^k0*(c, c + 1)/2^k on the stack carries a
-    polynomial r(t) whose roots in (0, 1) are the roots of p there, and the
-    sign variations of (1 + t)^d r(1/(1 + t)) bound their number, exactly
-    when 0 or 1.  An exact midpoint root is returned as found and divided
-    out of both halves.  An interval (lo, hi) with one root holds a simple
-    root of p, across which p changes sign; a rational root is y/a for an
-    integer y, with a the leading coefficient, so bisecting over the
-    integers a*lo < y < a*hi on the sign of a^d p(y/a) finds it if it is
-    rational.
-    """
-    a = abs(p[-1])
-    scaled = [c * a ** (len(p) - 1 - i) for i, c in enumerate(p)]
-
-    def sign(y):  # of a^d p(y/a), by Horner in integers
-        acc = 0
-        for c in reversed(scaled):
-            acc = acc * y + c
-        return (acc > 0) - (acc < 0)
-
-    k0 = (-(-max(map(abs, p)) // a)).bit_length()
-    found = []
-    stack = [([c << (k0 * i) for i, c in enumerate(p)], 0, 0)]
-    while stack:
-        r, c, k = stack.pop()
-        v = _variations(_taylor_shift(r[::-1]))
-        if v == 0:
-            continue
-        if v == 1:
-            y = _zero_between(sign, (a * c << k0 >> k) + 1,
-                              -(-(a * (c + 1) << k0) >> k) - 1)
-            if y is not None:
-                found.append(Rational(y, a))
-            continue
-        d = len(r) - 1
-        left = [ci << (d - i) for i, ci in enumerate(r)]  # 2^d r(t/2)
-        right = _taylor_shift(left)
-        if not right[0]:  # the midpoint is a root
-            found.append(Rational((2 * c + 1) << k0, 1 << (k + 1)))
-            left, right = _deflate(left, 1), right[1:]
-        stack.append((left, 2 * c, k + 1))
-        stack.append((right, 2 * c + 1, k + 1))
-    return found
+    a, d = p[-1], len(p) - 1
+    monic = [c * a ** (d - 1 - i) for i, c in enumerate(p[:-1])] + [1]
+    slope = [i * c for i, c in enumerate(monic)][1:]
+    bound = 2 * (abs(a) + max(map(abs, p)))
+    q = 2
+    while True:
+        small = [c % q for c in monic]
+        roots = [y for y in range(q) if not _eval_poly(small, y, q)]
+        if all(_eval_poly(slope, y, q) for y in roots):
+            break
+        q = next(k for k in itertools.count(q + 1)
+                 if all(k % j for j in range(2, math.isqrt(k) + 1)))
+    lifts = [(y, pow(_eval_poly(slope, y, q), -1, q)) for y in roots]
+    m = q
+    while m <= bound:
+        m *= m
+        small, dsmall = [c % m for c in monic], [c % m for c in slope]
+        for i, (y, inv) in enumerate(lifts):
+            y = (y - _eval_poly(small, y, m) * inv) % m
+            lifts[i] = y, inv * (2 - _eval_poly(dsmall, y, m) * inv) % m
+    return [Rational(y - m if 2 * y > m else y, a) for y, _ in lifts]
 
 
 def rational_roots(coeffs):
     """All rational roots with multiplicity, plus the unfactored cofactor.
 
     coeffs are ascending and the polynomial must be monic.  No integer is
-    factored: zero roots are stripped, the square-free part is scaled to a
-    primitive integer polynomial, and its positive and negative real roots
-    are isolated exactly by Descartes-rule bisection, and each isolating
-    interval is searched for its one rational candidate by bisection over
-    the integer numerators (see _positive_candidates).  Each candidate that
-    is a root is deflated out exactly and retested for multiplicity; what
-    stays is the irrational cofactor.
+    factored: zero roots are stripped, the square-free part is taken on
+    integers (_squarefree_ints), and one p-adic lifting pass yields at most
+    one candidate per root of it modulo a prime, among them every rational
+    root (_candidates).  Each candidate that is a root is deflated out
+    exactly and retested for multiplicity; what stays is the irrational
+    cofactor.
     """
     work = [Rational(c) for c in coeffs]
     if not work or work[-1] != 1:
@@ -415,11 +384,7 @@ def rational_roots(coeffs):
         roots.append(Rational(0))
         work = work[1:]
     if len(work) > 1:
-        p = _squarefree_ints(work)
-        mirrored = [c if i % 2 == 0 else -c for i, c in enumerate(p)]
-        cands = _positive_candidates(p) + [
-            -x for x in _positive_candidates(mirrored)]
-        for cand in sorted(cands):
+        for cand in sorted(_candidates(_squarefree_ints(work))):
             while len(work) > 1 and _eval_poly(work, cand) == 0:
                 roots.append(cand)
                 work = _deflate(work, cand)

@@ -6,8 +6,10 @@ differentiation), staircase classification through set-difference enumeration,
 and linear algebra through a second, stdlib-only elimination.
 """
 
+import math
 import random
 import signal
+import time
 from fractions import Fraction
 
 import pytest
@@ -22,13 +24,36 @@ def rng():
     return random.Random(20260814)
 
 
+class Deadline:
+    """A test's end in wall time; `with` it re-arms SIGALRM for what is left.
+
+    Hypothesis catches an example's TimeoutError and replays examples to
+    shrink it, with the alarm spent, so a loop that never ends would hang
+    the replay.  Its tests enter the deadline once per example: past the
+    end, each example fails at once.
+    """
+
+    def __init__(self, seconds):
+        self.end = time.monotonic() + seconds
+
+    def __enter__(self):
+        left = self.end - time.monotonic()
+        if left <= 0:
+            raise TimeoutError("test ran past its time limit")
+        signal.alarm(math.ceil(left))
+
+    def __exit__(self, *exc):
+        signal.alarm(0)
+
+
 @pytest.fixture
 def time_limit():
     """Fail the test with TimeoutError once it has run for 60 s.
 
     A division loop that never ends (Mora's loop need not terminate when
     its ecart is wrong) then fails its test instead of hanging the suite.
-    The previous SIGALRM handler comes back afterwards.
+    The previous SIGALRM handler comes back afterwards.  Yields the
+    Deadline, which a hypothesis test enters around each example.
     """
     def expire(signum, frame):
         raise TimeoutError("test ran past its 60 s time limit")
@@ -36,7 +61,7 @@ def time_limit():
     old = signal.signal(signal.SIGALRM, expire)
     signal.alarm(60)
     try:
-        yield
+        yield Deadline(60)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)

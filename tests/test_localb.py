@@ -5,15 +5,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bfunc.errors import BfuncError, InputError, ResourceLimitError
 from bfunc.groebner import (MoraResult, buchberger_global, buchberger_mora,
                             groebner_lazard, mora_div)
 from bfunc.linalg import add_column
-from bfunc.localb import (_poly_in_s, _yano_generators, ann_fs, approx_nf,
-                          dependency_kernel, find_generator, local_b_function,
-                          rational_roots, s_power_nfs, verify_certificate)
+from bfunc.localb import (_poly_in_s, _squarefree_ints, _yano_generators,
+                          ann_fs, approx_nf, dependency_kernel,
+                          find_generator, local_b_function, rational_roots,
+                          s_power_nfs, verify_certificate)
 from bfunc.orders import elimination_order, operator_order
 from bfunc.parser import parse_op, parse_poly
 from bfunc.printing import format_poly, format_univariate
@@ -571,13 +572,13 @@ def test_find_generator_kernels_once_per_bound(monkeypatch):
 
 # ---------------------------------------------------------- rational roots
 
-def test_roots_linear():
+def test_roots_linear(time_limit):
     roots, cofactor = rational_roots([rat(1), rat(1)])
     assert roots == [(rat(-1), 1)]
     assert list(cofactor) == [rat(1)]
 
 
-def test_roots_quartic():
+def test_roots_quartic(time_limit):
     # (s+1)^2 (s+1/2)^2 expanded
     roots, cofactor = rational_roots([rat(1, 4), rat(3, 2), rat(13, 4),
                                       rat(3), rat(1)])
@@ -585,13 +586,13 @@ def test_roots_quartic():
     assert list(cofactor) == [rat(1)]
 
 
-def test_roots_irrational_cofactor():
+def test_roots_irrational_cofactor(time_limit):
     roots, cofactor = rational_roots([rat(1), rat(0), rat(1)])
     assert roots == []
     assert list(cofactor) == [rat(1), rat(0), rat(1)]
 
 
-def test_roots_zero_root():
+def test_roots_zero_root(time_limit):
     roots, _ = rational_roots([rat(0), rat(0), rat(1)])
     assert roots == [(rat(0), 2)]
 
@@ -646,13 +647,16 @@ small = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 half = st.fractions(min_value=-3, max_value=3, max_denominator=2)
 
 
-@settings(deadline=None, max_examples=150)
+@settings(deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.lists(st.tuples(small, st.integers(1, 2)), max_size=3),
        st.lists(st.tuples(half, half), max_size=2))
-def test_roots_match_trial_division(linear, quadratics):
+def test_roots_match_trial_division(time_limit, linear, quadratics):
     coeffs = _expand(*[[-r, 1] for r, m in linear for _ in range(m)],
                      *[[c, b, 1] for b, c in quadratics])
-    assert rational_roots(coeffs) == _trial_division_roots(coeffs)
+    with time_limit:
+        got = rational_roots(coeffs)
+    assert got == _trial_division_roots(coeffs)
 
 
 def _brieskorn_pham_roots(a, b):
@@ -662,31 +666,81 @@ def _brieskorn_pham_roots(a, b):
 
 
 @pytest.mark.parametrize("roots", [
-    # the midpoint of an early bisection is the root -1 itself
     [-1, Fraction(-5, 6), Fraction(-7, 6)],
     [Fraction(-1, 2), Fraction(-3, 4)],
     [Fraction(-1, 97), Fraction(-96, 97)],
     [-1000, Fraction(-1, 1000)],
-    # stopping at a*width < 2 would miss -5/7: its last interval holds two
-    # integer candidates y for y/a
     [-3, Fraction(-5, 7)],
     [0, 0, 0, -1],
     [Fraction(-1, 2), Fraction(-1, 2), Fraction(1, 3), 5],
     # 31 and 43 roots, leading coefficients of 141 and 220 bits
     _brieskorn_pham_roots(6, 7),
     _brieskorn_pham_roots(7, 8),
+    # the two roots agree modulo every prime up to 29, so the lifting
+    # starts from 31
+    [-1, -1 - math.prod([2, 3, 5, 7, 11, 13, 17, 19, 23, 29])],
+    # a list is an irreducible factor that stays in the cofactor:
+    # s^2 - 2 has a double root modulo 2
+    [-1, [-2, 0, 1]],
+    # lifted through several squarings
+    [10 ** 12, -10 ** 12, Fraction(1, 10 ** 12), Fraction(-1, 10 ** 12)],
+    [Fraction(-1, 2), [2, 0, 0, 1], Fraction(3, 5)],
+    # the root bound is 40001 and the lifting runs modulo powers of 2:
+    # 2^16 exceeds the bound but not twice it, and there -40000 has the
+    # symmetric residue 25536
+    [-40000],
 ])
-def test_roots_explicit(roots):
-    coeffs = _expand(*[[-r, 1] for r in roots])
-    want = [(r, roots.count(r)) for r in sorted(set(roots))]
-    assert rational_roots(coeffs) == (want, (1,))
+def test_roots_explicit(roots, time_limit):
+    linear = [Fraction(r) for r in roots if not isinstance(r, list)]
+    cofactor = _expand(*[f for f in roots if isinstance(f, list)])
+    coeffs = _expand(*[[-r, 1] for r in linear], cofactor)
+    want = [(r, linear.count(r)) for r in sorted(set(linear))]
+    assert rational_roots(coeffs) == (want, tuple(cofactor))
     # trial division enumerates the divisors of the scaled b(0), out of
-    # reach for the Brieskorn-Pham cases; the closed form checks those
-    if len(roots) < 10:
+    # reach for the Brieskorn-Pham cases and the large roots; the
+    # construction checks those
+    if len(roots) < 10 and all(abs(r.numerator) * r.denominator < 10 ** 6
+                               for r in linear):
         assert rational_roots(coeffs) == _trial_division_roots(coeffs)
 
 
-def test_roots_degree_zero_and_int_input():
+# numerators and denominators up to 10^9, past the trial-division oracle
+big_roots = st.lists(
+    st.tuples(st.builds(Fraction, st.integers(-10 ** 9, 10 ** 9),
+                        st.integers(1, 10 ** 9)), st.integers(1, 3)),
+    max_size=4, unique_by=lambda rm: rm[0])
+positive = st.builds(Fraction, st.integers(1, 10 ** 9),
+                     st.integers(1, 10 ** 9))
+
+
+def _with_multiplicities(linear, c):
+    """Product of (s - r)^m over (r, m) in linear, times s^2 + c."""
+    return _expand(*[[-r, 1] for r, m in linear for _ in range(m)], [c, 0, 1])
+
+
+@settings(deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(big_roots, positive)
+def test_roots_by_construction(time_limit, linear, c):
+    with time_limit:
+        got = rational_roots(_with_multiplicities(linear, c))
+    assert got == (sorted(linear), (c, 0, 1))
+
+
+@settings(deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(big_roots, positive)
+def test_squarefree_ints_by_construction(time_limit, linear, c):
+    distinct = _with_multiplicities([(r, 1) for r, _ in linear], c)
+    scale = math.lcm(*(x.denominator for x in distinct))
+    ints = [int(x * scale) for x in distinct]
+    want = [x // math.gcd(*ints) for x in ints]
+    with time_limit:
+        got = _squarefree_ints(_with_multiplicities(linear, c))
+    assert got in (want, [-x for x in want])
+
+
+def test_roots_degree_zero_and_int_input(time_limit):
     assert rational_roots((1,)) == ([], (1,))
     # (s + 1)(s + 2) with plain int coefficients
     roots, cofactor = rational_roots((2, 3, 1))
