@@ -22,8 +22,8 @@ coprimality shortcut is unsound for operator products and is never used; only
 the chain criterion prunes pairs.
 
 Inside the loop an exponent is one int, its packed key K under the order
-(orders.Packing, sympoly._Packed): K compares as the order's key, so a
-leader is the largest K and the heaps hold ints; a monomial product is one
+(orders.Packing, sympoly._Packed): K is the order's key, so a leader is
+the largest K and the heaps hold ints; a monomial product is one
 addition; a lead divides an exponent when one subtraction leaves no guard
 bit set.  The loop's basis is one sympoly._Divisors of packed elements,
 grown by one element at a time and handed to every division, so each

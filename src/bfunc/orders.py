@@ -7,9 +7,9 @@ integer weight rows refined by a named term order; comparison is
 lexicographic on the row values with the term order breaking remaining ties,
 so two exponents compare equal only when they are identical.
 
-Inside the division loops an exponent is one int, its packed key K (see
-Packing): K compares as the order's key and adds as the exponent, and its
-low fields hold the exponent itself.
+An order's key (MatrixOrder.key) is one int per exponent, its packed key K
+(see Packing).  K adds as the exponent does and its low fields hold the
+exponent itself, so the division loops keep each exponent as its K.
 """
 
 import operator
@@ -20,25 +20,7 @@ from functools import cached_property
 from .errors import InputError
 
 
-def _lex_key(a):
-    return a
-
-
-def _grlex_key(a):
-    return (sum(a), a)
-
-
-def _grevlex_key(a):
-    # Higher total degree wins; ties go to the exponent whose rightmost
-    # differing entry is smaller.
-    return (sum(a), tuple(map(operator.neg, reversed(a))))
-
-
-TIE_ORDERS = {
-    "lex": _lex_key,
-    "grlex": _grlex_key,
-    "grevlex": _grevlex_key,
-}
+TIE_ORDERS = ("lex", "grlex", "grevlex")
 
 
 @dataclass(frozen=True)
@@ -57,12 +39,13 @@ class MatrixOrder:
                 raise InputError("weight row length does not match arity")
 
     def key(self, exp):
-        """Sort key: exponents with larger key are larger in the order."""
-        if len(exp) != self.arity:
-            raise InputError(
-                f"exponent arity {len(exp)} does not match order arity {self.arity}")
-        weights = tuple([sum(map(operator.mul, row, exp)) for row in self.rows])
-        return weights + TIE_ORDERS[self.tie](exp)
+        """Sort key: the packed key K of exp (see Packing), an int that is
+        larger exactly when exp is larger in the order.
+
+        Defined on the exponents Packing.pack accepts: tuples of this
+        order's arity with nonnegative entries and total degree at most
+        packing.limit; InputError for any other."""
+        return self.packing.pack(exp)
 
     @cached_property
     def packing(self):
@@ -79,19 +62,23 @@ WIDTH = 16
 
 
 class Packing:
-    """One int per exponent that is the order's key itself.
+    """The key K of a MatrixOrder: one int per exponent, order.key itself.
 
-    The key of a MatrixOrder, its weight-row values and then the entries of
-    its tie key, is written as signed digits of radix 2^W, W = WIDTH, the
-    most significant first.  Every digit is linear in the exponent, so
+    K writes the order's comparison values as signed digits of radix 2^W,
+    W = WIDTH, the most significant first: the weight-row values, then the
+    tie order's digits.  Those are the exponent's entries, left to right,
+    under lex; the total degree and then the entries under grlex; and the
+    total degree and then the negated entries, right to left, under
+    grevlex, so that a tie goes to the exponent whose rightmost differing
+    entry is smaller.  Every digit is linear in the exponent, so
     K(e) = sum(e_i * slots[i]) with one precomputed int per slot, and:
 
     * K(a + b) = K(a) + K(b): a monomial product is one addition, and so is
       each Leibniz lowering step;
-    * K(a) < K(b) exactly when order.key(a) < order.key(b), because every
-      digit stays inside (-2^(W-1), 2^(W-1)), so the digits below one that
-      differs cannot outweigh it;
-    * the tie key ends in the exponent itself (lex, grlex) or its negation
+    * K orders exponents as their digit sequences compare lexicographically,
+      because every digit stays inside (-2^(W-1), 2^(W-1)), so the digits
+      below one that differs cannot outweigh it;
+    * the tie digits end in the exponent itself (lex, grlex) or its negation
       (grevlex), so the low `arity` digits of sign*K, sign -1 under grevlex
       and 1 otherwise, are the exponent in plain W-bit fields: low(K) =
       (sign*K) & self.low.  Slot i sits at bit shifts[i].  Each field

@@ -19,11 +19,12 @@ divides by the primitive copies of its divisors that a _Divisors makes, and
 its quotients leave through _Divisors.quotients.
 
 The Buchberger loops, Mora division, reduce_global and the operator product
-run on _Packed polynomials, whose terms map the packed key K of each
-exponent (orders.Packing) to its coefficient: a product of monomials is one
-int addition, the largest key is the leader, and divisibility is one
-subtraction.  Tuples stay at the boundary: a _Packed is made from a
-SymbolPoly with of() and turned back with unpacked(), once at each end.
+run on _Packed polynomials, whose terms map each exponent's key K under the
+order (MatrixOrder.key, packed by orders.Packing) to its coefficient: a
+product of monomials is one int addition, the largest K is the leader, and
+divisibility is one subtraction.  Tuples stay at the boundary: a _Packed
+is made from a SymbolPoly with of() and turned back with unpacked(), once
+at each end.
 """
 
 import math

@@ -46,6 +46,21 @@ class Deadline:
         signal.alarm(0)
 
 
+def expire(signum, frame):
+    """time_limit's SIGALRM handler: raise TimeoutError in the test.
+
+    An alarm that lands as a frame starts finds its f_lineno still None,
+    and an error raised there has tb_lineno None, which pytest cannot
+    format: its report stops the session with an INTERNALERROR.  Such a
+    frame gets a 10 ms alarm instead, and the error is raised at the next
+    frame.
+    """
+    if frame is not None and frame.f_lineno is None:
+        signal.setitimer(signal.ITIMER_REAL, 0.01)
+        return
+    raise TimeoutError("test ran past its 60 s time limit")
+
+
 @pytest.fixture
 def time_limit():
     """Fail the test with TimeoutError once it has run for 60 s.
@@ -55,9 +70,6 @@ def time_limit():
     The previous SIGALRM handler comes back afterwards.  Yields the
     Deadline, which a hypothesis test enters around each example.
     """
-    def expire(signum, frame):
-        raise TimeoutError("test ran past its 60 s time limit")
-
     old = signal.signal(signal.SIGALRM, expire)
     signal.alarm(60)
     try:
@@ -65,6 +77,21 @@ def time_limit():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
+
+
+# Each order written out as a tuple, its weight-row values and then its tie
+# entries, apart from the digits orders.Packing builds: order.key, the
+# packed key, must sort every pair of exponents as this tuple does.
+WRITTEN_OUT_TIES = {
+    "lex": lambda a: a,
+    "grlex": lambda a: (sum(a), a),
+    "grevlex": lambda a: (sum(a), tuple(-v for v in reversed(a))),
+}
+
+
+def written_out_key(order, exp):
+    weights = tuple(sum(r * e for r, e in zip(row, exp)) for row in order.rows)
+    return weights + WRITTEN_OUT_TIES[order.tie](exp)
 
 
 def rand_exp(rng, arity, max_deg=3):

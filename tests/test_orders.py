@@ -9,6 +9,8 @@ from bfunc.orders import (WIDTH, MatrixOrder, elimination_order,
 from bfunc.parser import parse_poly
 from bfunc.printing import format_poly
 
+from conftest import written_out_key
+
 exps3 = st.tuples(*[st.integers(0, 6)] * 3)
 
 
@@ -103,33 +105,6 @@ def test_series_order_total_degree_dominates(a, b):
         assert lo.key(a) < lo.key(b)
 
 
-# The key formula as first written; _minimalize and the final basis sorts use
-# key values, not only comparisons, so the values themselves are pinned.
-WRITTEN_OUT_TIES = {
-    "lex": lambda a: a,
-    "grlex": lambda a: (sum(a), a),
-    "grevlex": lambda a: (sum(a), tuple(-v for v in reversed(a))),
-}
-
-
-def written_out_key(order, exp):
-    weights = tuple(sum(r * e for r, e in zip(row, exp)) for row in order.rows)
-    return weights + WRITTEN_OUT_TIES[order.tie](exp)
-
-
-@settings(deadline=None, max_examples=200)
-@given(st.integers(1, 3), st.lists(st.integers(0, 12), min_size=8, max_size=8),
-       st.sets(st.integers(0, 2), min_size=1))
-def test_key_values(n, slots, block):
-    block = sorted(i for i in block if i < n)
-    for tie in ("lex", "grlex", "grevlex"):
-        orders = [series_order(2 * n + 1, tie), operator_order(n, tie),
-                  elimination_order(n, block, tie), homogenized_order(n, tie)]
-        for order in orders:
-            exp = tuple(slots[:order.arity])
-            assert order.key(exp) == written_out_key(order, exp)
-
-
 def all_orders(n, block, tie):
     return [series_order(2 * n + 1, tie), operator_order(n, tie),
             elimination_order(n, block, tie), homogenized_order(n, tie),
@@ -137,19 +112,36 @@ def all_orders(n, block, tie):
 
 
 @settings(deadline=None, max_examples=200)
+@given(st.integers(1, 3), st.lists(st.integers(0, 12), min_size=16, max_size=16),
+       st.sets(st.integers(0, 2), min_size=1))
+def test_key_values(n, slots, block):
+    # order.key is the packed key, and it sorts as the written-out key does
+    block = sorted(i for i in block if i < n)
+    for tie in ("lex", "grlex", "grevlex"):
+        for order in all_orders(n, block, tie):
+            a, b = tuple(slots[:order.arity]), tuple(slots[8:8 + order.arity])
+            ka, kb = order.key(a), order.key(b)
+            assert ka == order.packing.pack(a) and kb == order.packing.pack(b)
+            assert (ka < kb) == (written_out_key(order, a)
+                                 < written_out_key(order, b))
+            assert (ka == kb) == (a == b)
+
+
+@settings(deadline=None, max_examples=200)
 @given(st.integers(1, 3), st.lists(st.integers(0, 9), min_size=16, max_size=16),
        st.sets(st.integers(0, 2), min_size=1))
 def test_packing_matches_key(n, slots, block):
     # the division loops hold each exponent as its packed key K: K orders
-    # as order.key, unpacks to the exponent, adds as the exponents add, and
-    # its guard-bit test agrees with slotwise divisibility
+    # as the written-out key, unpacks to the exponent, adds as the exponents
+    # add, and its guard-bit test agrees with slotwise divisibility
     block = sorted(i for i in block if i < n)
     for tie in ("lex", "grlex", "grevlex"):
         for order in all_orders(n, block, tie):
             packing = order.packing
             a, b = tuple(slots[:order.arity]), tuple(slots[8:8 + order.arity])
             ka, kb = packing.pack(a), packing.pack(b)
-            assert (ka < kb) == (order.key(a) < order.key(b))
+            assert (ka < kb) == (written_out_key(order, a)
+                                 < written_out_key(order, b))
             assert (ka == kb) == (a == b)
             assert packing.unpack(ka) == a and packing.unpack(kb) == b
             assert packing.pack(tuple(x + y for x, y in zip(a, b))) == ka + kb
@@ -180,12 +172,14 @@ def test_packing_at_the_field_limit(tie):
             assert packing.degree(packing.pack(a)) == sum(a)
             for b in edge:
                 assert (packing.pack(a) < packing.pack(b)) == \
-                    (order.key(a) < order.key(b))
+                    (written_out_key(order, a) < written_out_key(order, b))
         for past in [(top + 1,) + (0,) * (order.arity - 1),
                      (top, 1) + (0,) * (order.arity - 2),
                      (-1,) + (0,) * (order.arity - 1)]:
             with pytest.raises(InputError):
                 packing.pack(past)
+            with pytest.raises(InputError):
+                order.key(past)
         with pytest.raises(InputError):
             packing.pack((0,) * (order.arity + 1))
 

@@ -1,18 +1,19 @@
 import json
 import random
+import re
 
 import pytest
 
 from bfunc.cli import main
 from bfunc.errors import ParseError
-from bfunc.orders import operator_order
+from bfunc.orders import MatrixOrder, operator_order
 from bfunc.parser import parse_op, parse_poly
 from bfunc.printing import format_poly
 from bfunc.rationals import rat
 from bfunc.sympoly import SymbolPoly
 from bfunc.weyl import DiffOp, op_mul
 
-from conftest import rand_op
+from conftest import rand_op, written_out_key
 
 XYZ = ["x", "y", "z"]
 
@@ -119,6 +120,18 @@ def test_round_trip_property():
         assert parse_poly(format_poly(f, names), names) == f
         p = rand_op(rng, n, terms=4, max_deg=3)
         assert parse_op(format_poly(p, names), names) == p
+        # the terms print in descending order, under each tie order alone
+        # and refining the operator order
+        for tie in ("lex", "grlex", "grevlex"):
+            for order in (MatrixOrder((), tie, 2 * n + 1),
+                          operator_order(n, tie)):
+                text = format_poly(p, names, order)
+                assert parse_op(text, names) == p
+                exps = [next(iter(parse_op(term, names).terms))
+                        for term in re.split(r" [+-] ", text.lstrip("-"))]
+                assert exps == sorted(
+                    p.terms, key=lambda e: written_out_key(order, e),
+                    reverse=True)
 
 
 # --------------------------------------------------------------------- cli
