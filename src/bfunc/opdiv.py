@@ -94,7 +94,8 @@ def op_approx_div(p, divisors, bound, order=None):
 
     Parameters
     ----------
-    p : DiffOp
+    p : DiffOp whose exponents the order can key (MatrixOrder.key);
+        InputError otherwise, as for the divisors
     divisors : nonempty sequence of nonzero DiffOp, or an _OpDivisors such
         as GroebnerBasis._divisors, used as it is when prepared under this
         order object (under any order when order is None)
@@ -108,6 +109,9 @@ def op_approx_div(p, divisors, bound, order=None):
     if p.is_zero():
         return OpDivisionResult([DiffOp.zero() for _ in divisors.given],
                                 DiffOp.zero(), bound, bound, [], True)
+    # the remainder keeps p's terms that no level divides as tuples, so
+    # check them here as the packed products check theirs
+    divisors.order.packing.check(p.terms)
     initials = divisors.initials
     top = ord_e(p)
     losses = _losses(divisors.levels, top)

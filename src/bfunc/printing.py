@@ -6,13 +6,8 @@ descending under the session's operator division order so initial parts
 print first.
 """
 
-from functools import cache
-
 from .orders import operator_order
 from .sympoly import SymbolPoly
-
-# the default order of each arity, made once so that its packing is too
-_session_order = cache(operator_order)
 
 
 def _format_term(exp, names):
@@ -41,7 +36,7 @@ def format_poly(p, names, order=None):
     if not p.terms:
         return "0"
     if order is None:
-        order = _session_order(len(names))
+        order = operator_order(len(names))
     out = []
     for exp in sorted(p.terms, key=order.key, reverse=True):
         coeff = p.terms[exp]

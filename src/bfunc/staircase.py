@@ -136,7 +136,8 @@ def series_approx_div(f, divisors, order, bound):
 
     Parameters
     ----------
-    f : SymbolPoly
+    f : SymbolPoly whose exponents the order can key (MatrixOrder.key);
+        InputError otherwise, as for the divisors
     divisors : sequence of SymbolPoly, all nonzero, or a _SeriesDivisors
         prepared under this same order object
     order : MatrixOrder whose single weight row is all -1 (lower total degree
@@ -147,6 +148,8 @@ def series_approx_div(f, divisors, order, bound):
     if bound < 0:
         raise InputError("degree bound must not be negative")
     divisors = _SeriesDivisors.prepare(divisors, order)
+    if f.terms:
+        order.packing.check(f.terms)
     leads, rests = divisors.leads, divisors.rests
     partition = divisors.partition
 

@@ -109,6 +109,21 @@ def test_validation():
         op_approx_div(OP("dx"), [DiffOp.zero()], 3)
 
 
+def test_dividend_past_the_packed_limit():
+    # a term no level divides stays in the remainder unpacked, so the
+    # dividend is checked at entry: a total degree the order cannot key,
+    # and so could not print, is refused before any division runs
+    (x,) = OP("x").terms
+    limit = operator_order(1).packing.limit
+    at = DiffOp({tuple(limit * v for v in x): 1})
+    res = op_approx_div(at, [OP("dx")], 1)
+    assert res.remainder == at
+    assert format_poly(res.remainder, X) == f"x^{limit}"
+    past = DiffOp({tuple((limit + 1) * v for v in x): 1})
+    with pytest.raises(InputError, match="does not fit the packed fields"):
+        op_approx_div(past, [OP("dx")], 1)
+
+
 def test_dividend_with_s():
     # s carries e-weight 1, so s-divisions run through level 1
     p = OP("s^2 + s")

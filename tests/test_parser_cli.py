@@ -192,6 +192,17 @@ def test_cli_divide_worked_example(capsys):
     assert "initial bound = 9" in out
 
 
+def test_cli_divide_rejects_a_dividend_past_the_packed_limit(capsys):
+    # the parser builds x^40000 by operator products, which refuse a total
+    # degree past the packed fields, so the command fails before dividing
+    code, out, err = run_cli(capsys, "divide", "x^40000", "--by", "dx",
+                             "--n", "1")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: product of total degree 32768 does not fit the "
+                   "packed fields (at most 32767)\n")
+
+
 def test_cli_ann(capsys):
     code, out, _ = run_cli(capsys, "ann", "x^2*(y + 1)^2*z^2",
                            "--vars", "x,y,z", "--format", "json")

@@ -186,6 +186,16 @@ def test_series_div_validation():
         series_approx_div(P("x"), [P("x")], operator_order(1), 3)
 
 
+def test_series_div_past_the_packed_limit():
+    # dividend and divisors alike are keyed under the order, so a term of
+    # total degree past its packing's limit is refused
+    past = SymbolPoly({(LO1.packing.limit + 1, 0, 0): 1})
+    with pytest.raises(InputError, match="does not fit the packed fields"):
+        series_approx_div(past, [P("x")], LO1, 3)
+    with pytest.raises(InputError, match="does not fit the packed fields"):
+        series_approx_div(P("x"), [P("x") + past], LO1, 3)
+
+
 def test_series_div_remainder_off_staircase():
     names = ["x", "y"]
     f = parse_poly("y + x*y + y^3", names)
