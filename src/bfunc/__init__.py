@@ -12,8 +12,7 @@ from .orders import MatrixOrder, operator_order, series_order
 from .parser import parse_op, parse_poly
 from .printing import format_poly, format_univariate
 from .rationals import Rational, rat
-from .staircase import (ApproxDivisionResult, StaircasePartition,
-                        build_partition, mono_div, series_approx_div)
+from .staircase import ApproxDivisionResult, series_approx_div
 from .sympoly import SymbolPoly
 from .weyl import (DiffOp, FsAction, apply_action, apply_to_fs, e_part,
                    from_symbol, in_e, op_mul, ord_e)
@@ -23,14 +22,13 @@ __version__ = "0.1.0"
 __all__ = [
     "ApproxDivisionResult", "BFunctionResult", "BfuncError", "DiffOp",
     "FsAction", "GroebnerBasis", "InputError", "MatrixOrder", "MoraResult",
-    "OpDivisionResult", "ParseError", "Rational",
-    "ResourceLimitError", "StaircasePartition", "SymbolPoly",
-    "ZeroLeadingTermError", "accuracy_schedule", "ann_fs", "apply_action",
-    "apply_to_fs", "approx_nf", "buchberger_mora", "build_partition",
+    "OpDivisionResult", "ParseError", "Rational", "ResourceLimitError",
+    "SymbolPoly", "ZeroLeadingTermError", "accuracy_schedule", "ann_fs",
+    "apply_action", "apply_to_fs", "approx_nf", "buchberger_mora",
     "dependency_kernel", "e_part", "ecart", "find_generator", "format_poly",
     "format_univariate", "from_symbol", "groebner_lazard", "in_e",
-    "local_b_function", "mono_div", "mora_div", "op_approx_div",
-    "op_mul", "operator_order", "ord_e", "parse_op", "parse_poly", "rat",
+    "local_b_function", "mora_div", "op_approx_div", "op_mul",
+    "operator_order", "ord_e", "parse_op", "parse_poly", "rat",
     "rational_roots", "series_approx_div", "series_order", "spair",
     "verify_certificate",
 ]

@@ -10,10 +10,15 @@ an exact division below the requested accuracy.
 
 The running remainder and the quotients are kept as ints by the rule of
 sympoly._Divisors and divided by their common scale once at exit, so the
-result is exact over Q.  Everything that depends only on the divisors and
-the order is built once per divisor list in an _OpDivisors.  A GroebnerBasis
-keeps the one for its elements from its first division on, for as long as
-the basis lives; a plain list is prepared afresh on each call.
+result is exact over Q.  They are keyed by the packed key K of the operator
+order (orders.Packing), packed once at entry and unpacked once at exit: a
+term's e-weight is K's first digit, a level moves to the series order by
+subtracting one constant times its e-weight and its quotients move back by
+adding one, and the products run on packed copies of the divisors.
+Everything that depends only on the divisors and the order is built once
+per divisor list in an _OpDivisors.  A GroebnerBasis keeps the one for its
+elements from its first division on, for as long as the basis lives; a
+plain list is prepared afresh on each call.
 """
 
 import math
@@ -22,8 +27,9 @@ from dataclasses import dataclass
 from .errors import InputError
 from .orders import operator_order, series_order
 from .staircase import _SeriesDivisors, series_approx_div
-from .sympoly import _divided, _Divisors, _integral, _rescale, accumulate
-from .weyl import DiffOp, e_part, in_e, op_mul, ord_e
+from .sympoly import (SymbolPoly, _divided, _Divisors, _integral, _rescale,
+                      _ring, accumulate)
+from .weyl import DiffOp, in_e, op_mul, ord_e
 
 
 @dataclass(frozen=True)
@@ -67,12 +73,17 @@ class _OpDivisors(_Divisors):
     """op_approx_div's sympoly._Divisors: it adds the (ord_e, |LE|) pairs of
     the copies behind the accuracy schedule, and their initial parts
     in_e(k_i g_i) prepared for series_approx_div (a
-    staircase._SeriesDivisors).  Without an order it takes the standard one
-    for the divisors' arity.  A GroebnerBasis keeps one for its elements,
-    which every division by the basis takes.
+    staircase._SeriesDivisors) under the series order of the same tie.
+    The order must be operator_order(n, tie) for the divisors' n, and is
+    the grevlex one when none is given.  lift is the int C with
+    K_op(e) - K_series(e) = e_weight(e) * C for every exponent e: the tie
+    digits of the two keys agree, and above them the operator order has
+    the digits e_weight and -(x-degree), the series order the one digit
+    -(total degree) = -(x-degree) - e_weight.  A GroebnerBasis keeps one
+    for its elements, which every division by the basis takes.
     """
 
-    __slots__ = ("levels", "initials")
+    __slots__ = ("levels", "initials", "lift")
 
     def __init__(self, divisors, order=None):
         given = tuple(divisors)
@@ -81,12 +92,20 @@ class _OpDivisors(_Divisors):
         arity = given[0].arity
         # a zero first divisor has no arity: the base rejects it before
         # it reads the order
-        if order is None and arity is not None:
-            order = operator_order((arity - 1) // 2)
+        if arity is not None:
+            n = (arity - 1) // 2
+            if order is None:
+                order = operator_order(n)
+            elif order != operator_order(n, order.tie):
+                raise InputError(
+                    "operator division expects operator_order(n, tie) "
+                    f"with n = {n}")
         super().__init__(given, order)
         self.levels = [(ord_e(g), sum(g.le(order))) for g in self.copies]
+        series = series_order(arity, order.tie)
         self.initials = _SeriesDivisors([in_e(g) for g in self.copies],
-                                        series_order(arity, order.tie))
+                                        series)
+        self.lift = order.packing.slots[n] - series.packing.slots[n]
 
 
 def op_approx_div(p, divisors, bound, order=None):
@@ -100,8 +119,8 @@ def op_approx_div(p, divisors, bound, order=None):
         as GroebnerBasis._divisors, used as it is when prepared under this
         order object (under any order when order is None)
     bound : positive int, requested accuracy N
-    order : operator division order; defaults to the standard one for the
-        session arity with grevlex ties
+    order : operator_order(n, tie) for the session's n, InputError for any
+        other order; defaults to grevlex ties
     """
     if bound < 1:
         raise InputError("accuracy bound must be at least 1")
@@ -109,31 +128,41 @@ def op_approx_div(p, divisors, bound, order=None):
     if p.is_zero():
         return OpDivisionResult([DiffOp.zero() for _ in divisors.given],
                                 DiffOp.zero(), bound, bound, [], True)
-    # the remainder keeps p's terms that no level divides as tuples, so
-    # check them here as the packed products check theirs
-    divisors.order.packing.check(p.terms)
+    packing = divisors.order.packing
     initials = divisors.initials
-    top = ord_e(p)
+    series = initials.order.packing
+    level_ring = _ring(series, SymbolPoly)
+    lift = divisors.lift
+
+    # Pseudo-division, as in series_approx_div: the quotients (of the
+    # primitive copies k_i g_i) and the remainder, private dicts keyed by
+    # K under the operator order, hold scale times those of division over
+    # Q, as ints.  A level whose inner quotients are not all ints is scaled
+    # by the lcm of their denominators.
+    scale, remainder = _integral(packing.pack_terms(p.terms)[1])
+    top = packing.first(max(remainder))
     losses = _losses(divisors.levels, top)
     cur = bound + sum(losses)
     initial_bound = cur
-
-    # Pseudo-division, as in series_approx_div: the quotients (of the
-    # primitive copies k_i g_i) and the remainder, private dicts, hold
-    # scale times those of division over Q, as ints.  A level whose inner
-    # quotients are not all ints is scaled by the lcm of their denominators.
-    scale, remainder = _integral(p.terms)
     quotients = [{} for _ in divisors.given]
     schedule = []
     exact = True
     for k in range(top, -1, -1):
         schedule.append((k, losses[k], cur))
-        level = e_part(DiffOp._raw(remainder), k)
-        part = level.truncate(cur)
-        exact = exact and len(part.terms) == len(level.terms)
-        if part.terms:
-            # the cut keeps degrees < cur, so divide through cur - 1 inclusive
-            inner = series_approx_div(part, initials, initials.order, cur - 1)
+        # the e-weight is K's first digit, and the series order keys a term
+        # of e-weight k lower by k * lift; there its first digit is minus
+        # its total degree, so the cut, which keeps degrees < cur, is one
+        # comparison
+        lo, hi = packing.band(k)
+        level = [(key, c) for key, c in remainder.items() if lo <= key < hi]
+        down = k * lift
+        cut = series.band(1 - cur)[0] + down
+        part = {key - down: c for key, c in level if key >= cut}
+        exact = exact and len(part) == len(level)
+        if part:
+            # divide through cur - 1 inclusive
+            inner = series_approx_div(level_ring._raw(part), initials,
+                                      initials.order, cur - 1)
             exact = exact and not inner._tail
             # the inner quotient of in_e(k_i g_i) has the coefficients
             # c a / b, c in its int dict and a/b its factor over the inner
@@ -141,22 +170,26 @@ def op_approx_div(p, divisors, bound, order=None):
             qs = [(q, f.numerator, inner._scale * f.denominator)
                   for q, f in zip(inner._qbars, initials.factors)]
             den = math.lcm(*(b // math.gcd(b, c * a)
-                             for q, a, b in qs for c in q.values()))
+                             for q, a, b in qs if b != 1 for c in q.values()))
             if den != 1:
                 for d in quotients + [remainder]:
                     _rescale(d, den)
                 scale *= den
-            # the products run on the packed copies, with -ql packed
-            for (q, a, b), g, acc in zip(qs, divisors.packed(), quotients):
+            # a quotient term of in_e(k_i g_i), of e-weight k - ord_e(g_i),
+            # is keyed (k - ord_e(g_i)) * lift higher under the operator
+            # order; the products run on the packed copies
+            for (q, a, b), g, acc, (m, _) in zip(qs, divisors.packed(),
+                                                 quotients, divisors.levels):
                 if q:
                     a *= den
-                    ql = DiffOp._raw({e: c * a // b for e, c in q.items()})
-                    accumulate(acc, ql.terms.items())
-                    product = op_mul(g.__class__.of(-ql), g)
-                    accumulate(remainder, g.packing.unpack_terms(
-                        product.terms).items())
+                    up = (k - m) * lift
+                    ql = {key + up: c * a // b for key, c in q.items()}
+                    accumulate(acc, ql.items())
+                    minus = g.__class__._raw({e: -c for e, c in ql.items()})
+                    accumulate(remainder, op_mul(minus, g).terms.items())
         cur -= losses[k]
+    unpack = packing.unpack_terms
     return OpDivisionResult(
-        divisors.quotients(DiffOp, quotients, scale),
-        _divided(DiffOp, remainder, scale), bound, initial_bound, schedule,
-        exact)
+        divisors.quotients(DiffOp, [unpack(q) for q in quotients], scale),
+        _divided(DiffOp, unpack(remainder), scale), bound, initial_bound,
+        schedule, exact)

@@ -101,7 +101,7 @@ class Packing:
     """
 
     __slots__ = ("order", "arity", "slots", "sign", "low", "guard", "field",
-                 "shifts", "limit", "rings", "_fields", "_endian")
+                 "shifts", "limit", "rings", "_fields", "_endian", "_first")
 
     def __init__(self, order):
         arity, width = order.arity, WIDTH
@@ -130,6 +130,7 @@ class Packing:
         # the _Packed ring classes made under this packing (sympoly._ring)
         self.rings = {}
         self._endian = "little" if reverse else "big"
+        self._first = width * top
         self._fields = struct.Struct(
             ("<" if reverse else ">") + "H" * arity)
 
@@ -177,6 +178,18 @@ class Packing:
     def degree(self, key):
         """Total degree of the exponent whose K is key."""
         return ((self.sign * key) & self.low) % self.field
+
+    def first(self, key):
+        """The first digit of key: the value of the order's first weight
+        row (its first tie digit if it has none) at the exponent of K key."""
+        return (key + (1 << self._first >> 1)) >> self._first
+
+    def band(self, v):
+        """(lo, hi): the K of the exponents whose first digit is v are the
+        ints lo <= K < hi, since the digits below it stay inside
+        (-2^(W-1), 2^(W-1))."""
+        lo = (v << self._first) - (1 << self._first >> 1)
+        return lo, lo + (1 << self._first)
 
     def divides(self, a, b):
         """Whether the exponent of K a divides (is at most, slot by slot)

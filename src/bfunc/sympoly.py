@@ -18,13 +18,14 @@ to ints, and _divided brings them back to rationals at exit.  Every division
 divides by the primitive copies of its divisors that a _Divisors makes, and
 its quotients leave through _Divisors.quotients.
 
-The Buchberger loops, Mora division, reduce_global and the operator product
-run on _Packed polynomials, whose terms map each exponent's key K under the
-order (MatrixOrder.key, packed by orders.Packing) to its coefficient: a
-product of monomials is one int addition, the largest K is the leader, and
-divisibility is one subtraction.  Tuples stay at the boundary: a _Packed
-is made from a SymbolPoly with of() and turned back with unpacked(), once
-at each end.
+The Buchberger loops, Mora division, reduce_global, the operator product
+and both approximate divisions run on packed keys: a _Packed polynomial, or
+a division's private dict, maps each exponent's key K under the order
+(MatrixOrder.key, packed by orders.Packing) to its coefficient.  A product
+of monomials is one int addition, the largest K is the leader, and
+divisibility is one subtraction.  Tuples stay at the public boundary: terms
+are packed once on the way in (of(), Packing.pack_terms) and unpacked once
+on the way out (unpacked(), Packing.unpack_terms).
 """
 
 import math
@@ -372,16 +373,23 @@ class SymbolPoly:
             for ea, ca in self.terms.items() for eb, cb in b_items)))
 
     def __pow__(self, k):
+        """The k-th power by repeated squaring, in O(log k) products;
+        powers of one element commute, so an operator's may be grouped
+        in any way."""
         if not isinstance(k, int) or k < 0:
             raise InputError("exponent must be a natural number")
         if k == 0:
             if self.arity is None:
                 raise InputError("cannot raise the arity-less zero to power 0")
             return self.__class__.constant(1, self.arity)
-        result = self
-        for _ in range(k - 1):
-            result = result * self
-        return result
+        result, square = None, self
+        while True:
+            if k & 1:
+                result = square if result is None else result * square
+            k >>= 1
+            if not k:
+                return result
+            square = square * square
 
     def partial(self, slot):
         """Formal partial derivative in the given exponent slot."""

@@ -15,7 +15,8 @@ from bfunc.opdiv import accuracy_schedule, op_approx_div
 from bfunc.orders import operator_order, series_order
 from bfunc.parser import parse_op, parse_poly
 from bfunc.rationals import rat
-from bfunc.staircase import build_partition, series_approx_div
+from bfunc.staircase import series_approx_div
+from bfunc.sympoly import SymbolPoly
 from bfunc.weyl import (DiffOp, FsAction, apply_action, apply_to_fs,
                         from_symbol, op_mul, ord_e)
 
@@ -157,13 +158,24 @@ def suite_division_identity_and_tail():
 
 
 def suite_staircase_vs_brute_force():
+    # a monomial divided by monomial leaders lands in the quotient of the
+    # first leader dominating it, or else in the remainder
     rng = random.Random(602)
     cases = 0
     for _ in range(200):
         leaders = [rand_exp(rng, 2, 3) for _ in range(rng.randint(1, 4))]
-        part = build_partition(leaders)
         exp = rand_exp(rng, 2, 6)
-        assert part.classify(exp) == brute_region(leaders, exp)
+        res = series_approx_div(SymbolPoly.monomial(exp),
+                                [SymbolPoly.monomial(l) for l in leaders],
+                                series_order(2), sum(exp))
+        hit = [i for i, q in enumerate(res.quotients) if q.terms]
+        region = brute_region(leaders, exp)
+        if region is None:
+            assert hit == [] and res.remainder.exps() == {exp}
+        else:
+            shifted = tuple(a - b for a, b in zip(exp, leaders[region]))
+            assert hit == [region] and res.remainder.is_zero()
+            assert res.quotients[region].exps() == {shifted}
         cases += 1
     return cases
 

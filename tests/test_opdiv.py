@@ -9,14 +9,16 @@ from bfunc.errors import InputError
 from bfunc.groebner import buchberger_mora, mora_div
 from bfunc.localb import ann_fs
 from bfunc.opdiv import OpDivisionResult, accuracy_schedule, op_approx_div
-from bfunc.orders import operator_order, series_order
+from bfunc.orders import (TIE_ORDERS, MatrixOrder, elimination_order,
+                          homogenized_order, operator_order, series_order)
 from bfunc.parser import parse_op, parse_poly
 from bfunc.printing import format_poly
-from bfunc.staircase import build_partition, series_approx_div
+from bfunc.staircase import series_approx_div
 from bfunc.sympoly import SymbolPoly, accumulate
 from bfunc.weyl import DiffOp, e_part, from_symbol, in_e, op_mul, ord_e
 
 from conftest import bsearch_bases, rand_op, rand_sympoly
+from tuple_division import build_partition, tuple_op_approx_div
 
 X = ["x"]
 
@@ -188,6 +190,67 @@ def test_remainder_prefix_off_staircase():
             assert part.classify(exp) is None
 
 
+def test_only_the_operator_order_divides():
+    # the levels and their lift to the series order are read off the
+    # operator order's packed keys, so any other order is refused
+    p, divisors = OP("x*dx"), [OP("dx")]
+    for tie in TIE_ORDERS:
+        assert op_approx_div(p, divisors, 4,
+                             operator_order(1, tie)).remainder.is_zero()
+    swapped = MatrixOrder(operator_order(1).rows[::-1], "grevlex", 3)
+    for order in (series_order(3), elimination_order(1, [0]), swapped,
+                  operator_order(2), homogenized_order(1)):
+        with pytest.raises(InputError):
+            op_approx_div(p, divisors, 4, order)
+        with pytest.raises(InputError):
+            opdiv._OpDivisors(divisors, order)
+
+
+def test_the_lift_between_the_orders():
+    # K under the operator order minus K under the series order of the
+    # same tie is e_weight * lift, and the e-weight is K's first digit
+    rng = random.Random(252)
+    for n in (1, 2, 3):
+        for tie in TIE_ORDERS:
+            prepared = opdiv._OpDivisors([DiffOp.constant(1, 2 * n + 1)],
+                                         operator_order(n, tie))
+            op, series = (prepared.order.packing,
+                          prepared.initials.order.packing)
+            for _ in range(20):
+                exp = rand_op(rng, n, terms=1, max_deg=9).le(prepared.order)
+                weight = sum(exp[n:])
+                assert op.pack(exp) - series.pack(exp) == \
+                    weight * prepared.lift
+                assert op.first(op.pack(exp)) == weight
+                assert series.first(series.pack(exp)) == -sum(exp)
+
+
+def test_packed_op_approx_div_matches_tuple_loop(time_limit):
+    # the packed loop gives the tuple loop's quotients, remainder,
+    # schedule and flags, coefficient types included, for n = 1..3 and
+    # every tie
+    rng = random.Random(253)
+    flags = set()
+    for n in (1, 2, 3):
+        for tie in TIE_ORDERS:
+            order = operator_order(n, tie)
+            for _ in range(20):
+                p = rand_op(rng, n, terms=4, max_deg=2, zero_ok=True)
+                divisors = [rand_op(rng, n, terms=3, max_deg=2)
+                            for _ in range(rng.randint(1, 3))]
+                bound = rng.randint(1, 4)
+                got = op_approx_div(p, divisors, bound, order)
+                want = tuple_op_approx_div(p, divisors, bound, order)
+                flags.add(want.exact)
+                assert [exact(q) for q in got.quotients] == \
+                    [exact(q) for q in want.quotients]
+                assert exact(got.remainder) == exact(want.remainder)
+                assert got.schedule == want.schedule
+                assert got.initial_bound == want.initial_bound
+                assert got.exact == want.exact
+    assert flags == {True, False}
+
+
 # --------------------------------------------------------------- exactness
 
 def test_exact_division_is_that_of_every_larger_bound(monkeypatch):
@@ -329,7 +392,8 @@ def test_op_approx_div_matches_rational_loop(monkeypatch, time_limit):
         return op_approx_div(p, divisors, bound, order)
 
     def recording_series(f, divisors, order, bound):
-        inner.append((f, list(divisors), order, bound))
+        # op_approx_div hands over each e-level packed
+        inner.append((sympoly._unpacked(f), list(divisors), order, bound))
         return series_approx_div(f, divisors, order, bound)
 
     monkeypatch.setattr(localb, "op_approx_div", recording)

@@ -149,6 +149,13 @@ def test_packing_matches_key(n, slots, block):
                 x <= y for x, y in zip(a, b))
             assert packing.degree(ka) == sum(a)
             assert packing.join(ka, kb) == packing.pack(tuple(map(max, a, b)))
+            # the first digit is the first written-out value, and its band
+            # holds exactly the keys with that digit
+            first = written_out_key(order, a)[0]
+            assert packing.first(ka) == first
+            lo, hi = packing.band(first)
+            assert lo <= ka < hi
+            assert (lo <= kb < hi) == (written_out_key(order, b)[0] == first)
 
 
 @pytest.mark.parametrize("tie", ["lex", "grlex", "grevlex"])
@@ -170,6 +177,8 @@ def test_packing_at_the_field_limit(tie):
         for a in edge:
             assert packing.unpack(packing.pack(a)) == a
             assert packing.degree(packing.pack(a)) == sum(a)
+            assert packing.first(packing.pack(a)) == \
+                written_out_key(order, a)[0]
             for b in edge:
                 assert (packing.pack(a) < packing.pack(b)) == \
                     (written_out_key(order, a) < written_out_key(order, b))

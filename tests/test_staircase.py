@@ -1,17 +1,19 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bfunc.errors import InputError
-from bfunc.orders import series_order
+from bfunc.orders import TIE_ORDERS, series_order
 from bfunc.parser import parse_poly
 from bfunc.printing import format_poly
 from bfunc.rationals import Rational
-from bfunc.staircase import build_partition, mono_div, series_approx_div
-from bfunc.sympoly import SymbolPoly
+from bfunc.staircase import series_approx_div
+from bfunc.sympoly import SymbolPoly, _packed
 
-from conftest import brute_region
+from conftest import brute_region, rand_sympoly
+from tuple_division import build_partition, mono_div, tuple_series_approx_div
 
 X = ["x"]
 LO1 = series_order(3)
@@ -194,6 +196,50 @@ def test_series_div_past_the_packed_limit():
         series_approx_div(past, [P("x")], LO1, 3)
     with pytest.raises(InputError, match="does not fit the packed fields"):
         series_approx_div(P("x"), [P("x") + past], LO1, 3)
+
+
+def test_series_div_tail_past_the_packed_limit():
+    # 1 / (1 + x^d): the second round's product has total degree 2d, which
+    # is refused before any key is added once 2d passes the limit
+    limit = LO1.packing.limit
+    half = limit // 2
+    res = series_approx_div(P("1"), [P(f"1 + x^{half}")], LO1, half)
+    assert res.quotients[0] == P(f"1 - x^{half}")
+    assert res.remainder.is_zero()
+    assert res.tail == P(f"x^{2 * half}")
+    with pytest.raises(InputError, match="does not fit the packed fields"):
+        series_approx_div(P("1"), [P(f"1 + x^{half + 1}")], LO1, half + 1)
+
+
+def exact(p):
+    """A polynomial's terms, each coefficient with its type."""
+    return {e: (type(c), c) for e, c in p.terms.items()}
+
+
+def test_packed_series_div_matches_tuple_loop():
+    # the packed loop gives the tuple loop's quotients, remainder and tail,
+    # coefficient types included, for n = 1..3 and every tie, and the same
+    # again when the dividend is handed over packed
+    rng = random.Random(254)
+    for n in (1, 2, 3):
+        arity = 2 * n + 1
+        for tie in TIE_ORDERS:
+            order = series_order(arity, tie)
+            for _ in range(20):
+                f = rand_sympoly(rng, arity, terms=5, max_deg=3, zero_ok=True)
+                gs = [rand_sympoly(rng, arity, terms=3, max_deg=2)
+                      for _ in range(rng.randint(1, 3))]
+                bound = rng.randint(0, 5)
+                want = tuple_series_approx_div(f, gs, order, bound)
+                for dividend in (f, _packed(f, order)):
+                    got = series_approx_div(dividend, gs, order, bound)
+                    assert [exact(q) for q in got.quotients] == \
+                        [exact(q) for q in want.quotients]
+                    assert exact(got.remainder) == exact(want.remainder)
+                    assert exact(got.tail) == exact(want.tail)
+    f = _packed(P("1 + x"), series_order(3, "lex"))
+    with pytest.raises(InputError, match="packed under another order"):
+        series_approx_div(f, [P("x")], LO1, 3)
 
 
 def test_series_div_remainder_off_staircase():

@@ -6,6 +6,7 @@ from operator import add
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bfunc import weyl
 from bfunc.errors import InputError, ZeroLeadingTermError
 from bfunc.orders import homogenized_order, operator_order, series_order
 from bfunc.parser import parse_op, parse_poly
@@ -310,6 +311,42 @@ def test_packed_op_mul_matches_tuple_body(pair):
         got = op_mul(ring.of(a), ring.of(b))
         assert type(got) is ring
         assert listed(got.unpacked()) == listed(want)
+
+
+def repeated(p, k):
+    """p to the k >= 1 by k - 1 products, each by p on the right."""
+    out = p
+    for _ in range(k - 1):
+        out = out * p
+    return out
+
+
+def test_power_by_squaring_matches_repeated_products(monkeypatch,
+                                                      time_limit):
+    # powers of random operators, of (x*dx + 1) and of commutative
+    # polynomials are the repeated products, coefficient types included
+    rng = random.Random(25)
+    cases = [(rand_op(rng, rng.randint(1, 2), terms=3), rng.randint(1, 5))
+             for _ in range(40)]
+    cases += [(OP("x*dx + 1"), k) for k in range(1, 10)]
+    cases += [(rand_sympoly(rng, 3, terms=3), rng.randint(1, 5))
+              for _ in range(20)]
+    for p, k in cases:
+        got, want = p ** k, repeated(p, k)
+        assert type(got) is type(p)
+        assert {e: (type(c), c) for e, c in got.terms.items()} == \
+            {e: (type(c), c) for e, c in want.terms.items()}
+    # 30000 = 0b111010100110000: x^30000 takes 14 squarings and 6 products
+    # for the set bits past the first, not 29999 products
+    products = []
+
+    def counting(a, b):
+        products.append((a, b))
+        return op_mul(a, b)
+
+    monkeypatch.setattr(weyl, "op_mul", counting)
+    assert OP("x^30000").terms == {(30000, 0, 0): 1}
+    assert len(products) == 14 + 6
 
 
 def test_product_past_the_packed_field_raises():
