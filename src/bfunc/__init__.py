@@ -15,7 +15,7 @@ from .rationals import Rational, rat
 from .staircase import ApproxDivisionResult, series_approx_div
 from .sympoly import SymbolPoly
 from .weyl import (DiffOp, FsAction, apply_action, apply_to_fs, e_part,
-                   from_symbol, in_e, op_mul, ord_e)
+                   from_symbol, op_mul, ord_e)
 
 __version__ = "0.1.0"
 
@@ -26,7 +26,7 @@ __all__ = [
     "SymbolPoly", "ZeroLeadingTermError", "accuracy_schedule", "ann_fs",
     "apply_action", "apply_to_fs", "approx_nf", "buchberger_mora",
     "dependency_kernel", "e_part", "ecart", "find_generator", "format_poly",
-    "format_univariate", "from_symbol", "groebner_lazard", "in_e",
+    "format_univariate", "from_symbol", "groebner_lazard",
     "local_b_function", "mora_div", "op_approx_div", "op_mul",
     "operator_order", "ord_e", "parse_op", "parse_poly", "rat",
     "rational_roots", "series_approx_div", "series_order", "spair",

@@ -16,7 +16,7 @@ from .groebner import STRATEGIES, groebner_basis
 from .localb import ann_fs, approx_nf, local_b_function
 from .opdiv import op_approx_div
 from .orders import operator_order
-from .parser import parse_op, parse_poly
+from .parser import check_names, parse_op, parse_poly
 from .printing import format_poly, format_univariate
 
 
@@ -72,16 +72,7 @@ def _names(args):
     names = [v.strip() for v in args.vars.split(",") if v.strip()]
     if not names:
         raise InputError("--vars must list at least one variable")
-    if len(set(names)) != len(names):
-        raise InputError("duplicate variable names")
-    for name in names:
-        if name == "s":
-            raise InputError("'s' is reserved for the parameter")
-        if not (name[0].isalpha() or name[0] == "_") or not name.isidentifier():
-            raise InputError(f"bad variable name {name!r}")
-        if name.startswith("d") and name[1:] in names:
-            raise InputError(f"variable {name!r} collides with a derivation atom")
-    return names
+    return check_names(names)
 
 
 def _main_expr(args):

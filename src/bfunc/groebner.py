@@ -27,10 +27,10 @@ the largest K and the heaps hold ints; a monomial product is one
 addition; a lead divides an exponent when one subtraction leaves no guard
 bit set.  The loop's basis is one sympoly._Divisors of packed elements,
 grown by one element at a time and handed to every division, so each
-element is made primitive and keyed once.  The elements are unpacked once,
-at exit.  mora_div, reduce_global and spair take packed operands from the
-loop and tuple ones from anywhere else: those are packed on entry and the
-results unpacked at exit.
+element is made primitive and keyed once.  The elements are made monic
+and unpacked once, at exit (_monic).  mora_div, reduce_global and spair
+take packed operands from the loop and tuple ones from anywhere else: those
+are packed on entry and the results unpacked at exit.
 
 Every element the loop appends, generators included, is primitive: int
 coefficients with gcd 1 and a positive lead.  Its S-pairs cross-multiply the
@@ -54,7 +54,7 @@ from .opdiv import _OpDivisors
 from .orders import MatrixOrder, homogenized_order
 from .rationals import Rational
 from .sympoly import (_divided, _Divisors, _integral, _packed,
-                      _primitive, _rescale, _unpacked, accumulate)
+                      _primitive, _rescale, accumulate)
 from .weyl import DiffOp, HomogOp, op_mul
 
 
@@ -150,7 +150,7 @@ def mora_div(p, divisors, order):
     # op, origin).  origin: divisor index, or the (unit, quotients) snapshot
     # for a partial remainder of p itself.
     pool = []
-    for i, g in enumerate(divisors.packed()):
+    for i, g in enumerate(divisors.copies):
         lead = g.leading(order)
         pool.append((sign * lead[0], lead, ecart(g, order), g, i))
 
@@ -295,10 +295,9 @@ def _buchberger_loop(gens, order, reduce_fn, mul, select_key):
 
 def _minimalize(basis, order):
     """Drop elements whose leading exponent another element's divides, and
-    sort the rest by lead.  The elements may be packed or not."""
+    sort the rest by lead.  The elements are packed under the order."""
     packing = order.packing
-    leads = [e if type(e) is int else packing.pack(e)
-             for e in (g.le(order) for g in basis)]
+    leads = [g.le(order) for g in basis]
     keep = []
     for i, g in enumerate(basis):
         redundant = False
@@ -315,6 +314,11 @@ def _minimalize(basis, order):
     return [g for _, g in keep]
 
 
+def _monic(g, order):
+    """The packed g divided by its leading coefficient, unpacked."""
+    return _divided(g.__class__, g.terms, g.leading(order)[1]).unpacked()
+
+
 def buchberger_mora(gens, order):
     """Groebner basis under a local order via Mora-reduced Buchberger.
 
@@ -325,7 +329,7 @@ def buchberger_mora(gens, order):
     tie_key = MatrixOrder(rows=(), tie=order.tie,
                           arity=order.arity).packing.pack
     basis = _buchberger_loop(gens, order, reduce_fn, op_mul, tie_key)
-    return GroebnerBasis([_unpacked(g).monic(order)
+    return GroebnerBasis([_monic(g, order)
                           for g in _minimalize(basis, order)], order)
 
 
@@ -387,9 +391,8 @@ def buchberger_global(gens, order, mul=op_mul):
     # no lead divides another, so each element keeps its lead and the list
     # keeps _minimalize's order
     basis = _minimalize(basis, order)
-    return [_unpacked(reduce_global(g, basis[:i] + basis[i + 1:], order,
-                                    mul)).monic(order)
-            for i, g in enumerate(basis)]
+    return [_monic(reduce_global(g, basis[:i] + basis[i + 1:], order, mul),
+                   order) for i, g in enumerate(basis)]
 
 
 def _homogenize(op):
@@ -411,8 +414,9 @@ def groebner_lazard(gens, order):
     hgens = [_homogenize(g) for g in gens if g.terms]
     hbasis = buchberger_global(hgens, horder)
     # a nonzero homogeneous element never dehomogenizes to zero
-    basis = [_dehomogenize(h).monic(order) for h in hbasis]
-    return GroebnerBasis(_minimalize(basis, order), order)
+    basis = [_packed(_dehomogenize(h), order) for h in hbasis]
+    return GroebnerBasis([_monic(g, order)
+                          for g in _minimalize(basis, order)], order)
 
 
 STRATEGIES = ("mora", "lazard")

@@ -16,9 +16,10 @@ term's e-weight is K's first digit, a level moves to the series order by
 subtracting one constant times its e-weight and its quotients move back by
 adding one, and the products run on packed copies of the divisors.
 Everything that depends only on the divisors and the order is built once
-per divisor list in an _OpDivisors.  A GroebnerBasis keeps the one for its
-elements from its first division on, for as long as the basis lives; a
-plain list is prepared afresh on each call.
+per divisor list, from the packed copies, in an _OpDivisors.  A
+GroebnerBasis keeps the one for its elements from its first division on,
+for as long as the basis lives; a plain list is prepared afresh on each
+call.
 """
 
 import math
@@ -29,7 +30,7 @@ from .orders import operator_order, series_order
 from .staircase import _SeriesDivisors, series_approx_div
 from .sympoly import (SymbolPoly, _divided, _Divisors, _integral, _rescale,
                       _ring, accumulate)
-from .weyl import DiffOp, in_e, op_mul, ord_e
+from .weyl import DiffOp, op_mul, ord_e
 
 
 @dataclass(frozen=True)
@@ -79,8 +80,10 @@ class _OpDivisors(_Divisors):
     K_op(e) - K_series(e) = e_weight(e) * C for every exponent e: the tie
     digits of the two keys agree, and above them the operator order has
     the digits e_weight and -(x-degree), the series order the one digit
-    -(total degree) = -(x-degree) - e_weight.  A GroebnerBasis keeps one
-    for its elements, which every division by the basis takes.
+    -(total degree) = -(x-degree) - e_weight.  ord_e of a copy is the first
+    digit m of its largest K and its initial part is level(m) of it;
+    op_approx_div splits its remainder with level() too.  A GroebnerBasis
+    keeps one for its elements, which every division by the basis takes.
     """
 
     __slots__ = ("levels", "initials", "lift")
@@ -101,11 +104,22 @@ class _OpDivisors(_Divisors):
                     "operator division expects operator_order(n, tie) "
                     f"with n = {n}")
         super().__init__(given, order)
-        self.levels = [(ord_e(g), sum(g.le(order))) for g in self.copies]
+        packing = order.packing
         series = series_order(arity, order.tie)
-        self.initials = _SeriesDivisors([in_e(g) for g in self.copies],
-                                        series)
-        self.lift = order.packing.slots[n] - series.packing.slots[n]
+        self.lift = packing.slots[n] - series.packing.slots[n]
+        leads = [max(h.terms) for h in self.copies]
+        self.levels = [(packing.first(k), packing.degree(k)) for k in leads]
+        ring = _ring(series.packing, SymbolPoly)
+        self.initials = _SeriesDivisors(
+            [ring._raw(self.level(h.terms, m))
+             for h, (m, _) in zip(self.copies, self.levels)], series)
+
+    def level(self, terms, k):
+        """The terms of e-weight k of the dict terms keyed by K under the
+        order, keyed by their K under the series order instead."""
+        lo, hi = self.order.packing.band(k)
+        down = k * self.lift
+        return {key - down: c for key, c in terms.items() if lo <= key < hi}
 
 
 def op_approx_div(p, divisors, bound, order=None):
@@ -153,11 +167,9 @@ def op_approx_div(p, divisors, bound, order=None):
         # of e-weight k lower by k * lift; there its first digit is minus
         # its total degree, so the cut, which keeps degrees < cur, is one
         # comparison
-        lo, hi = packing.band(k)
-        level = [(key, c) for key, c in remainder.items() if lo <= key < hi]
-        down = k * lift
-        cut = series.band(1 - cur)[0] + down
-        part = {key - down: c for key, c in level if key >= cut}
+        level = divisors.level(remainder, k)
+        cut = series.band(1 - cur)[0]
+        part = {key: c for key, c in level.items() if key >= cut}
         exact = exact and len(part) == len(level)
         if part:
             # divide through cur - 1 inclusive
@@ -178,8 +190,8 @@ def op_approx_div(p, divisors, bound, order=None):
             # a quotient term of in_e(k_i g_i), of e-weight k - ord_e(g_i),
             # is keyed (k - ord_e(g_i)) * lift higher under the operator
             # order; the products run on the packed copies
-            for (q, a, b), g, acc, (m, _) in zip(qs, divisors.packed(),
-                                                 quotients, divisors.levels):
+            for (q, a, b), g, acc, (m, _) in zip(
+                    qs, divisors.copies, quotients, divisors.levels):
                 if q:
                     a *= den
                     up = (k - m) * lift

@@ -16,7 +16,7 @@ so for example dx*x parses to x*dx + 1.
 
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import InputError, ParseError
 from .rationals import Rational
 from .sympoly import SymbolPoly
 from .weyl import DiffOp
@@ -75,12 +75,29 @@ def _tokenize(text):
     return tokens
 
 
+def check_names(names):
+    """The variable names as a list; InputError for a duplicate, for s (the
+    parameter), for a name that is not an identifier and for a name that is
+    the derivation atom d<name> of another."""
+    names = list(names)
+    if len(set(names)) != len(names):
+        raise InputError("duplicate variable names")
+    for name in names:
+        if name == "s":
+            raise InputError("'s' is reserved for the parameter")
+        if not name.isidentifier() or not (name[0].isalpha() or name[0] == "_"):
+            raise InputError(f"bad variable name {name!r}")
+        if name.startswith("d") and name[1:] in names:
+            raise InputError(f"variable {name!r} collides with a derivation atom")
+    return names
+
+
 class _Parser:
     def __init__(self, text, names, operators):
         """names: variable list; operators: allow d-atoms and build DiffOps."""
+        self.names = check_names(names)
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.names = list(names)
         self.operators = operators
         self.cls = DiffOp if operators else SymbolPoly
         self.arity = 2 * len(self.names) + 1

@@ -67,10 +67,10 @@ class ApproxDivisionResult:
 
 
 class _SeriesDivisors(_Divisors):
-    """series_approx_div's sympoly._Divisors: it adds the copies' leading
-    terms, packed as (K, sign*K, coefficient), and their tails, packed as
-    (the (K, coefficient) pairs, the tail's top total degree minus the
-    lead's, that top degree)."""
+    """series_approx_div's sympoly._Divisors: it adds each copy's leading
+    term, its largest K, as (K, sign*K, coefficient), and its tail, the
+    other terms, as (their (K, coefficient) pairs, the tail's top total
+    degree minus the lead's, that top degree)."""
 
     __slots__ = ("leads", "tails")
 
@@ -82,12 +82,11 @@ class _SeriesDivisors(_Divisors):
         packing = order.packing
         self.leads, self.tails = [], []
         for h in self.copies:
-            exp, lc = h.leading(order)
-            lead = packing.pack(exp)
-            rest = h.rest(order).terms
-            top, tail = packing.pack_terms(rest) if rest else (0, {})
-            self.leads.append((lead, packing.sign * lead, lc))
-            self.tails.append((list(tail.items()), top - sum(exp), top))
+            lead = max(h.terms)
+            tail = [(k, c) for k, c in h.terms.items() if k != lead]
+            top = max(map(packing.degree, (k for k, _ in tail)), default=0)
+            self.leads.append((lead, packing.sign * lead, h.terms[lead]))
+            self.tails.append((tail, top - packing.degree(lead), top))
 
 
 def series_approx_div(f, divisors, order, bound):

@@ -4,10 +4,7 @@ A SymbolPoly maps exponent tuples to nonzero rationals.  Within one
 computation session every exponent has the same length 2n+1 and is laid out
 as (x_1..x_n, s, xi_1..xi_n); polynomials that do not involve s or the xi
 block simply keep those slots at zero.  Instances are immutable: the dict of
-a SymbolPoly never changes after _raw has wrapped it.  That is what lets
-leading() keep the last lead it found: the same order asking again of the
-same terms must get the same answer, so Buchberger's loop and the divisions
-key a basis element's terms once, not once per reduction.
+a SymbolPoly never changes after _raw has wrapped it.
 
 accumulate() is the one place where a term whose coefficients sum to zero is
 deleted.  Arithmetic collects its terms through it, and division loops hold
@@ -64,9 +61,8 @@ def _integral(terms, den=None):
 
 def _primitive(op, order):
     """Primitive integer multiple of a nonzero op: int coefficients with gcd
-    1 and a positive lead, its lead already kept, as monic keeps it.  An op
-    that is primitive already is returned as it is."""
-    exp, lead = op.leading(order)
+    1 and a positive lead; op itself when it is primitive already."""
+    lead = op.leading(order)[1]
     values = op.terms.values()
     if lead > 0 and all(type(c) is int for c in values) \
             and math.gcd(*values) == 1:
@@ -75,10 +71,7 @@ def _primitive(op, order):
     content = math.gcd(*ints.values())
     if lead < 0:
         content = -content
-    data = {e: c // content for e, c in ints.items()}
-    copy = op.__class__._raw(data)
-    copy._lead = order, (exp, data[exp])
-    return copy
+    return op.__class__._raw({e: c // content for e, c in ints.items()})
 
 
 def _rescale(data, b):
@@ -134,13 +127,8 @@ class _Packed:
         return packed
 
     def unpacked(self):
-        """This polynomial as a SymbolPoly of the ring's algebra, with the
-        lead kept if this one has it."""
-        poly = self.algebra._raw(self.packing.unpack_terms(self.terms))
-        if self._lead is not None:
-            order, (key, coeff) = self._lead
-            poly._lead = order, (self.packing.unpack(key), coeff)
-        return poly
+        """This polynomial as a SymbolPoly of the ring's algebra."""
+        return self.algebra._raw(self.packing.unpack_terms(self.terms))
 
     def is_zero(self):
         return not self.terms
@@ -154,9 +142,10 @@ class _Packed:
 
     def leading(self, order):
         """(K, coefficient) of the largest term under order, which must be
-        the packing's order."""
+        the packing's order.  The lead is kept with the order object that
+        asked and returned as is when that same object asks again."""
         kept = self._lead
-        if kept is not None:
+        if kept is not None and kept[0] is order:
             return kept[1]
         if not self.terms:
             raise ZeroLeadingTermError("leading term of zero is undefined")
@@ -196,54 +185,39 @@ def _packed(p, order):
     return _ring(order.packing, p.__class__).of(p)
 
 
-def _unpacked(p):
-    """p as a SymbolPoly; p itself when it is not packed."""
-    return p.unpacked() if isinstance(p, _Packed) else p
-
-
 class _Divisors:
     """Nonzero divisors g_i prepared under one order for the dividing loops.
 
     A loop divides by the primitive copies k_i g_i, so scaling its dividend
     by a quotient term's denominator keeps every coefficient an int.  A
     quotient q of k_i g_i is k_i q as one of g_i, and quotients() is that one
-    exit; k_i is the int 1 where g_i is primitive, its own copy.  Iterating
-    gives the g_i.  prepare() hands back a set-up made under the same order
-    object as it is.  A subclass adds what its division reads from the
-    divisors alone.  Buchberger's loop grows one set-up of its packed
-    elements with append() and hands it to every division it makes; any
-    other set-up packs its copies when a division first asks (packed()).
+    exit; k_i is the int 1 where g_i is primitive.  The copies are packed
+    under the order, each g_i once, and a subclass reads what it adds for
+    its division off their K.  Iterating gives the g_i.  prepare() hands
+    back a set-up made under the same order object as it is.  Buchberger's
+    loop grows one set-up of its packed elements with append().
     """
 
-    __slots__ = ("given", "order", "copies", "factors", "_packed")
+    __slots__ = ("given", "order", "copies", "factors")
 
     def __init__(self, divisors, order):
         self.given = list(divisors)
         if any(g.is_zero() for g in self.given):
             raise InputError("divisors must be nonzero")
         self.order = order
-        self.copies = [_primitive(g, order) for g in self.given]
+        packed = [_packed(g, order) for g in self.given]
+        self.copies = [_primitive(g, order) for g in packed]
+        # the copy has the terms of the divisor, each k times its own
         self.factors = [1 if h is g else
-                        Rational(h.leading(order)[1], g.leading(order)[1])
-                        for h, g in zip(self.copies, self.given)]
-        self._packed = None
+                        Rational(next(iter(h.terms.values())),
+                                 next(iter(g.terms.values())))
+                        for h, g in zip(self.copies, packed)]
 
     def append(self, g):
         """Add g, primitive already, as a divisor and its own copy."""
         self.given.append(g)
         self.copies.append(g)
         self.factors.append(1)
-
-    def packed(self):
-        """The copies packed under the order: the copies themselves when
-        they are packed, as in Buchberger's loop, and otherwise packed on
-        the first call and kept."""
-        copies = self.copies
-        if not copies or isinstance(copies[0], _Packed):
-            return copies
-        if self._packed is None:
-            self._packed = [_packed(h, self.order) for h in copies]
-        return self._packed
 
     @classmethod
     def prepare(cls, divisors, order):
@@ -266,13 +240,12 @@ class _Divisors:
 
 
 class SymbolPoly:
-    __slots__ = ("terms", "_lead")
+    __slots__ = ("terms",)
 
     def __init__(self, terms=()):
         items = terms.items() if hasattr(terms, "items") else terms
         pairs = ((tuple(exp), Rational(coeff)) for exp, coeff in items)
         self.terms = accumulate({}, ((e, c) for e, c in pairs if c))
-        self._lead = None
 
     @classmethod
     def _raw(cls, data):
@@ -280,7 +253,6 @@ class SymbolPoly:
         it afterwards. Internal."""
         obj = object.__new__(cls)
         obj.terms = data
-        obj._lead = None
         return obj
 
     @classmethod
@@ -421,36 +393,15 @@ class SymbolPoly:
             {e: c for e, c in self.terms.items() if sum(e) < bound})
 
     def leading(self, order):
-        """(exponent, coefficient) of the largest term under order.
-
-        The answer is kept with the order object that asked for it and
-        returned as is when that same object (`is`, not ==) asks again; the
-        terms never change, so it cannot go stale.  One entry per polynomial:
-        asking under another order keys the terms again and replaces it."""
-        kept = self._lead
-        if kept is not None and kept[0] is order:
-            return kept[1]
+        """(exponent, coefficient) of the largest term under order."""
         if not self.terms:
             raise ZeroLeadingTermError("leading term of zero is undefined")
         exp = max(self.terms, key=order.key)
-        lead = exp, self.terms[exp]
-        self._lead = order, lead
-        return lead
+        return exp, self.terms[exp]
 
     def le(self, order):
         return self.leading(order)[0]
 
-    def rest(self, order):
-        """Everything but the leading term; zero for the zero polynomial."""
-        if not self.terms:
-            return self.__class__.zero()
-        lead, _ = self.leading(order)
-        return self.__class__._raw(
-            {e: c for e, c in self.terms.items() if e != lead})
-
     def monic(self, order):
-        """Scaled copy with leading coefficient 1, its lead already kept."""
-        exp, coeff = self.leading(order)
-        copy = self.scale(Rational(1, coeff))
-        copy._lead = order, (exp, copy.terms[exp])
-        return copy
+        """Scaled copy with leading coefficient 1."""
+        return self.scale(Rational(1, self.leading(order)[1]))

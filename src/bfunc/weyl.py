@@ -206,11 +206,6 @@ def ord_e(op):
     return max(e_weight(e) for e in op.terms)
 
 
-def in_e(op):
-    """Initial part: the terms of maximal e-weight, as a commutative symbol."""
-    return e_part(op, ord_e(op))
-
-
 def e_part(op, k):
     """Symbol terms of e-weight exactly k."""
     return SymbolPoly._raw(

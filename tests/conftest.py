@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from bfunc.rationals import rat
-from bfunc.sympoly import SymbolPoly
+from bfunc.sympoly import SymbolPoly, _Packed
 from bfunc.weyl import DiffOp
 
 
@@ -87,6 +87,17 @@ WRITTEN_OUT_TIES = {
     "grlex": lambda a: (sum(a), a),
     "grevlex": lambda a: (sum(a), tuple(-v for v in reversed(a))),
 }
+
+
+def unpacked(p):
+    """p as a SymbolPoly: p.unpacked() when p is packed, else p itself."""
+    return p.unpacked() if isinstance(p, _Packed) else p
+
+
+def rest_of(f, order):
+    """Everything but the leading term of the nonzero f under order."""
+    lead = f.le(order)
+    return f.__class__._raw({e: c for e, c in f.terms.items() if e != lead})
 
 
 def written_out_key(order, exp):

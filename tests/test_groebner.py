@@ -13,10 +13,10 @@ from bfunc.localb import ann_fs
 from bfunc.orders import homogenized_order, operator_order
 from bfunc.parser import parse_op, parse_poly
 from bfunc.rationals import Rational, rat
-from bfunc.sympoly import SymbolPoly, _unpacked
+from bfunc.sympoly import SymbolPoly, _packed
 from bfunc.weyl import DiffOp, HomogOp, from_symbol, op_mul, ord_e
 
-from conftest import rand_op
+from conftest import rand_op, unpacked
 
 X = ["x"]
 XYZ = ["x", "y", "z"]
@@ -284,7 +284,8 @@ def rescan_loop(gens, order, reduce_fn, mul, select_key, normal):
     """Reference pair selection: rescan every open pair for the least
     (select_key(lcm), i, j), as the loop did before it kept a queue.
     normal(op, order) is the multiple of a generator or remainder that
-    joins the basis."""
+    joins the basis.  The elements are handed back packed, as the loop
+    hands them to the strategies' exits."""
     basis = [normal(g, order) for g in gens if g.terms]
     if not basis:
         raise InputError("all generators are zero")
@@ -315,7 +316,7 @@ def rescan_loop(gens, order, reduce_fn, mul, select_key, normal):
         basis.append(normal(r, order))
         leads.append(basis[-1].le(order))
         pairs.update((i2, len(basis) - 1) for i2 in range(len(basis) - 1))
-    return basis
+    return [_packed(g, order) for g in basis]
 
 
 def rescan_buchberger_loop(gens, order, reduce_fn, mul, select_key):
@@ -335,7 +336,7 @@ def test_pair_queue_matches_rescan(monkeypatch):
 
         def recording_spair(p, q, order, mul=op_mul):
             # the loop's elements are packed, the reference's are not
-            formed.append((_unpacked(p).le(order), _unpacked(q).le(order)))
+            formed.append((unpacked(p).le(order), unpacked(q).le(order)))
             return spair(p, q, order, mul)
 
         monkeypatch.setattr(groebner, "spair", recording_spair)
@@ -456,7 +457,7 @@ def test_mora_div_matches_rekeying_loop(monkeypatch, time_limit):
     def recorder(kind):
         def recording(p, divisors, order):
             # unpacked, so that the reference loop can replay the call
-            calls.append((_unpacked(p), [_unpacked(g) for g in divisors],
+            calls.append((unpacked(p), [unpacked(g) for g in divisors],
                           order, kind))
             return mora_div(p, divisors, order)
         return recording
@@ -511,7 +512,7 @@ def test_reduce_global_matches_rescanning_loop(monkeypatch, time_limit):
 
     def recording(p, divisors, order, mul=op_mul):
         # unpacked, so that the reference loop can replay the call
-        calls.append((_unpacked(p), [_unpacked(g) for g in divisors], order,
+        calls.append((unpacked(p), [unpacked(g) for g in divisors], order,
                       mul))
         return reduce_global(p, divisors, order, mul)
 
@@ -563,8 +564,7 @@ def test_primitive():
     # one positive rational factor takes p to g
     assert {Fraction(g.terms[e]) / c for e, c in p.terms.items()} == \
         {Fraction(-9, 2)}
-    # the lead is kept, as monic keeps it
-    assert g._lead == (order, (exp, 36))
+    assert g.leading(order) == (exp, 36)
     assert _primitive(g, order).terms == g.terms
 
 
@@ -640,7 +640,9 @@ def test_buchberger_global_non_integral_generators(monkeypatch):
                            SymbolPoly.monic)
 
     def recording(p, divisors, order, mul=op_mul):
-        calls.append((p, list(divisors), order, mul))
+        # unpacked, so that the reference loop can replay the call
+        calls.append((unpacked(p), [unpacked(g) for g in divisors], order,
+                      mul))
         return reduce_global(p, divisors, order, mul)
 
     monkeypatch.setattr(groebner, "_buchberger_loop", monic_loop)

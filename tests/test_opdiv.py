@@ -14,10 +14,10 @@ from bfunc.orders import (TIE_ORDERS, MatrixOrder, elimination_order,
 from bfunc.parser import parse_op, parse_poly
 from bfunc.printing import format_poly
 from bfunc.staircase import series_approx_div
-from bfunc.sympoly import SymbolPoly, accumulate
-from bfunc.weyl import DiffOp, e_part, from_symbol, in_e, op_mul, ord_e
+from bfunc.sympoly import SymbolPoly, _primitive, accumulate
+from bfunc.weyl import DiffOp, e_part, from_symbol, op_mul, ord_e
 
-from conftest import bsearch_bases, rand_op, rand_sympoly
+from conftest import bsearch_bases, rand_op, rand_sympoly, rest_of, unpacked
 from tuple_division import build_partition, tuple_op_approx_div
 
 X = ["x"]
@@ -225,10 +225,29 @@ def test_the_lift_between_the_orders():
                 assert series.first(series.pack(exp)) == -sum(exp)
 
 
+def listed(p):
+    """A polynomial's terms in dict order, each coefficient with its type."""
+    return [(e, type(c), c) for e, c in p.terms.items()]
+
+
+def check_set_up(divisors, order):
+    """The packed set-up's copies, factors, levels and initial parts are
+    those read off exponent tuples, in dict order, with their types."""
+    prepared = opdiv._OpDivisors(divisors, order)
+    copies = [c.unpacked() for c in prepared.copies]
+    assert [listed(h) for h in copies] == \
+        [listed(_primitive(g, order)) for g in divisors]
+    for g, h, k in zip(divisors, copies, prepared.factors):
+        assert h.terms == g.scale(k).terms
+    assert prepared.levels == [(ord_e(h), sum(h.le(order))) for h in copies]
+    assert [listed(unpacked(i)) for i in prepared.initials] == \
+        [listed(e_part(h, ord_e(h))) for h in copies]
+
+
 def test_packed_op_approx_div_matches_tuple_loop(time_limit):
     # the packed loop gives the tuple loop's quotients, remainder,
     # schedule and flags, coefficient types included, for n = 1..3 and
-    # every tie
+    # every tie, from the set-up the tuple loop would make
     rng = random.Random(253)
     flags = set()
     for n in (1, 2, 3):
@@ -239,6 +258,7 @@ def test_packed_op_approx_div_matches_tuple_loop(time_limit):
                 divisors = [rand_op(rng, n, terms=3, max_deg=2)
                             for _ in range(rng.randint(1, 3))]
                 bound = rng.randint(1, 4)
+                check_set_up(divisors, order)
                 got = op_approx_div(p, divisors, bound, order)
                 want = tuple_op_approx_div(p, divisors, bound, order)
                 flags.add(want.exact)
@@ -305,7 +325,7 @@ def fraction_series_approx_div(f, divisors, order, bound):
     coefficients throughout."""
     divisors = list(divisors)
     leads = [g.leading(order) for g in divisors]
-    rests = [g.rest(order) for g in divisors]
+    rests = [rest_of(g, order) for g in divisors]
     partition = build_partition([e for e, _ in leads])
     cls = f.__class__
     qbars = [{} for _ in divisors]
@@ -339,7 +359,7 @@ def fraction_op_approx_div(p, divisors, bound, order):
         return OpDivisionResult([DiffOp.zero() for _ in divisors],
                                 DiffOp.zero(), bound, bound, [], True)
     sorder = series_order(p.arity, order.tie)
-    initials = [in_e(g) for g in divisors]
+    initials = [e_part(g, ord_e(g)) for g in divisors]
     top = ord_e(p)
     losses = accuracy_schedule(divisors, top, order)
     cur = initial_bound = bound + sum(losses)
@@ -392,8 +412,9 @@ def test_op_approx_div_matches_rational_loop(monkeypatch, time_limit):
         return op_approx_div(p, divisors, bound, order)
 
     def recording_series(f, divisors, order, bound):
-        # op_approx_div hands over each e-level packed
-        inner.append((sympoly._unpacked(f), list(divisors), order, bound))
+        # op_approx_div hands over each e-level and initial part packed
+        inner.append((unpacked(f), [unpacked(g) for g in divisors], order,
+                      bound))
         return series_approx_div(f, divisors, order, bound)
 
     monkeypatch.setattr(localb, "op_approx_div", recording)
@@ -473,8 +494,9 @@ def test_prepared_basis_divides_as_its_element_list(monkeypatch):
 def test_find_generator_prepares_the_basis_once(monkeypatch):
     # every division of a b(s) search, the approximate ones and Mora's
     # certifications alike, divides through the set-up the basis keeps:
-    # one primitive copy per basis element and one per initial part,
-    # however many normal forms and candidates the search goes through
+    # one primitive copy per basis element and one per initial part, made
+    # from their packed terms, however many normal forms and candidates
+    # the search goes through
     f, gb = bsearch_bases()[0]
     made, divisions, certifications = [], [], []
 
@@ -498,9 +520,10 @@ def test_find_generator_prepares_the_basis_once(monkeypatch):
     n = len(gb.elements)
     assert len(divisions) > 2 * n and len(certifications) > 1
     assert len(made) == 2 * n
-    assert all(a is b for a, b in zip(made, gb.elements))
-    assert [g.terms for g in made[n:]] == \
-        [in_e(g).terms for g in gb._divisors.copies]
+    assert [unpacked(a).terms for a in made[:n]] == \
+        [g.terms for g in gb.elements]
+    assert [unpacked(a).terms for a in made[n:]] == \
+        [e_part(g, ord_e(g)).terms for g in map(unpacked, gb._divisors.copies)]
     # the set-up lives as long as the basis
     localb.find_generator(gb, 2 * f.arity, 64)
     assert len(made) == 2 * n

@@ -9,7 +9,7 @@ from bfunc.orders import (WIDTH, MatrixOrder, elimination_order,
 from bfunc.parser import parse_poly
 from bfunc.printing import format_poly
 
-from conftest import written_out_key
+from conftest import rest_of, written_out_key
 
 exps3 = st.tuples(*[st.integers(0, 6)] * 3)
 
@@ -28,7 +28,7 @@ def test_series_leading_monomial_row():
     lo = series_order(5)
     assert f.le(lo) == (1, 0, 0, 0, 0)
     assert f.leading(lo) == ((1, 0, 0, 0, 0), 3)
-    assert format_poly(f.rest(lo), ["x", "y"]) == "x*y"
+    assert format_poly(rest_of(f, lo), ["x", "y"]) == "x*y"
 
 
 def test_operator_order_weight_rows():

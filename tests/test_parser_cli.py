@@ -5,7 +5,7 @@ import re
 import pytest
 
 from bfunc.cli import main
-from bfunc.errors import ParseError
+from bfunc.errors import InputError, ParseError
 from bfunc.orders import MatrixOrder, operator_order
 from bfunc.parser import parse_op, parse_poly
 from bfunc.printing import format_poly
@@ -109,6 +109,30 @@ def rand_base_poly(rng, n):
         f = f + SymbolPoly.monomial(
             tuple(exp), rat(rng.randint(-4, 4) or 1, rng.randint(1, 3)))
     return f
+
+
+def test_parser_reserves_s_for_the_parameter():
+    # s would silently read as the parameter, not as the variable
+    with pytest.raises(InputError, match="reserved for the parameter"):
+        parse_poly("x + s", ["x", "s"])
+
+
+def test_parser_rejects_duplicate_names():
+    with pytest.raises(InputError, match="duplicate variable names"):
+        parse_poly("x", ["x", "x"])
+
+
+def test_parser_rejects_a_name_that_is_a_derivation_atom():
+    # with x declared, dx is the derivation atom of x
+    for parse in (parse_op, parse_poly):
+        with pytest.raises(InputError, match="collides with a derivation"):
+            parse("dx", ["x", "dx"])
+
+
+def test_parser_rejects_a_name_that_is_not_an_identifier():
+    for name in ("2y", "x-y", ""):
+        with pytest.raises(InputError, match="bad variable name"):
+            parse_poly("x", ["x", name])
 
 
 def test_round_trip_property():

@@ -12,6 +12,9 @@ Every public function and method is used: by the library, by the acceptance
 tests or in README.md.
 Mora division and the global normal form never rescan their running
 dividend: its leader comes from a lazy heap.
+The division set-ups read leads, levels, initial parts and tails off the K
+of their packed copies: no in_e, ord_e, leading(), le() or order.key call
+sits in them.
 Both Buchberger loops keep primitive elements, so the shared loop takes no
 normaliser.  Every division divides by the primitive copies a
 sympoly._Divisors makes and turns their quotients into the divisors' through
@@ -128,6 +131,39 @@ def test_primitive_copies_and_their_exit_in_one_place(tmp_path):
         "                        k.numerator)\n")
     assert _holders(probe, _calls("_primitive")) == ["probe.copy"]
     assert _holders(probe, _calls("_divided", 4)) == ["probe.Setup.exit"]
+
+
+SET_UPS = {"_Divisors", "_OpDivisors", "_SeriesDivisors"}
+TUPLE_LEADS = {"in_e", "ord_e", "leading", "le", "key"}
+
+
+def _tuple_leads_in_set_ups(path):
+    """Qualified names of the set-up class methods that call one of
+    TUPLE_LEADS (a function or method of that name)."""
+    return [hit for hit in _holders(path, lambda node: isinstance(
+                node, ast.Call) and _callee(node) in TUPLE_LEADS)
+            if hit.split(".")[1] in SET_UPS]
+
+
+def test_set_ups_read_packed_copies(tmp_path):
+    assert {"sympoly.py", "opdiv.py", "staircase.py"} <= \
+        {p.name for p in SOURCES}
+    found = [hit for path in SOURCES for hit in _tuple_leads_in_set_ups(path)]
+    assert found == []
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "class _OpDivisors:\n    def __init__(self, gs, order):\n"
+        "        self.levels = [ord_e(g) for g in gs]\n"
+        "        self.initials = [in_e(g) for g in gs]\n"
+        "        self.leads = [g.leading(order) for g in gs]\n"
+        "class _SeriesDivisors:\n    def __init__(self, gs, order):\n"
+        "        self.exps = [g.le(order) for g in gs]\n"
+        "        self.keys = sorted(gs, key=order.key)\n"
+        "        self.top = order.key(gs[0])\n"
+        "def outside(g, order):\n    return g.leading(order)\n")
+    assert _tuple_leads_in_set_ups(probe) == \
+        ["probe._OpDivisors.__init__"] * 3 + \
+        ["probe._SeriesDivisors.__init__"] * 2
 
 
 SCANS = {"max", "min", "sorted", "map", "filter", "sum", "any", "all",

@@ -9,10 +9,10 @@ from bfunc.orders import TIE_ORDERS, series_order
 from bfunc.parser import parse_poly
 from bfunc.printing import format_poly
 from bfunc.rationals import Rational
-from bfunc.staircase import series_approx_div
+from bfunc.staircase import _SeriesDivisors, series_approx_div
 from bfunc.sympoly import SymbolPoly, _packed
 
-from conftest import brute_region, rand_sympoly
+from conftest import brute_region, rand_sympoly, rest_of
 from tuple_division import build_partition, mono_div, tuple_series_approx_div
 
 X = ["x"]
@@ -216,10 +216,31 @@ def exact(p):
     return {e: (type(c), c) for e, c in p.terms.items()}
 
 
+def check_set_up(gs, order):
+    """The packed set-up's leads and tails are those read off the tuple
+    copies: each lead as (K, sign*K, coefficient), each tail in dict order
+    with its top total degree, coefficient types included."""
+    prepared = _SeriesDivisors(gs, order)
+    packing = order.packing
+    for h, lead, tail in zip(prepared.copies, prepared.leads,
+                             prepared.tails):
+        g = h.unpacked()
+        exp, lc = g.leading(order)
+        key = order.key(exp)
+        assert lead == (key, packing.sign * key, lc)
+        assert type(lead[2]) is type(lc)
+        others = rest_of(g, order).terms
+        top = max(map(sum, others), default=0)
+        assert [(packing.unpack(k), type(c), c) for k, c in tail[0]] == \
+            [(e, type(c), c) for e, c in others.items()]
+        assert tail[1:] == (top - sum(exp), top)
+
+
 def test_packed_series_div_matches_tuple_loop():
     # the packed loop gives the tuple loop's quotients, remainder and tail,
     # coefficient types included, for n = 1..3 and every tie, and the same
-    # again when the dividend is handed over packed
+    # again when the dividend is handed over packed; the loop's leads and
+    # tails are those of the tuple copies
     rng = random.Random(254)
     for n in (1, 2, 3):
         arity = 2 * n + 1
@@ -230,6 +251,7 @@ def test_packed_series_div_matches_tuple_loop():
                 gs = [rand_sympoly(rng, arity, terms=3, max_deg=2)
                       for _ in range(rng.randint(1, 3))]
                 bound = rng.randint(0, 5)
+                check_set_up(gs, order)
                 want = tuple_series_approx_div(f, gs, order, bound)
                 for dividend in (f, _packed(f, order)):
                     got = series_approx_div(dividend, gs, order, bound)

@@ -5,14 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bfunc.errors import InputError, ZeroLeadingTermError
-from bfunc.groebner import reduce_global
+from bfunc.groebner import (buchberger_global, buchberger_mora,
+                            groebner_lazard, reduce_global)
+from bfunc.localb import ann_fs
 from bfunc.opdiv import _OpDivisors
 from bfunc.orders import (MatrixOrder, elimination_order, operator_order,
                           series_order)
 from bfunc.parser import parse_op, parse_poly
 from bfunc.rationals import rat
-from bfunc.sympoly import SymbolPoly, _Divisors
-from bfunc.weyl import DiffOp
+from bfunc.sympoly import SymbolPoly, _Divisors, _packed
+from bfunc.weyl import DiffOp, from_symbol
+
+from conftest import rest_of
 
 X = ["x"]
 LO1 = series_order(3)
@@ -44,19 +48,19 @@ def test_leading_data_row():
     lo = series_order(5)
     assert f.leading(lo) == ((1, 0, 0, 0, 0), 3)
     assert f.exps() == {(1, 0, 0, 0, 0), (1, 1, 0, 0, 0)}
-    assert f.rest(lo) == parse_poly("x*y", ["x", "y"])
+    assert rest_of(f, lo) == parse_poly("x*y", ["x", "y"])
 
 
 def test_leading_data_constant():
     f = SymbolPoly.constant(5, 3)
     assert f.le(LO1) == (0, 0, 0)
-    assert f.rest(LO1).is_zero()
+    assert rest_of(f, LO1).is_zero()
 
 
 def test_leading_local_prefers_low_degree():
     f = P("x - x^2")
     assert f.leading(LO1) == ((1, 0, 0), 1)
-    assert f.rest(LO1) == P("-x^2")
+    assert rest_of(f, LO1) == P("-x^2")
 
 
 def test_zero_has_no_leading_data():
@@ -111,11 +115,12 @@ def test_ring_laws(f, g, h):
 @given(polys)
 def test_lt_rest_decomposition(f):
     if f.is_zero():
-        assert f.rest(LO1).is_zero()
+        with pytest.raises(ZeroLeadingTermError):
+            f.leading(LO1)
         return
-    assert SymbolPoly.monomial(*f.leading(LO1)) + f.rest(LO1) == f
+    assert SymbolPoly.monomial(*f.leading(LO1)) + rest_of(f, LO1) == f
     top = LO1.key(f.le(LO1))
-    for exp in f.rest(LO1).exps():
+    for exp in rest_of(f, LO1).exps():
         assert LO1.key(exp) < top
 
 
@@ -155,7 +160,7 @@ def test_arithmetic_matches_naive_dicts(pair):
     assert SymbolPoly(list(f.terms.items()) + list((-f).terms.items())).is_zero()
 
 
-# -- the lead kept by leading() ----------------------------------------------
+# -- leading() and the keys it asks for ---------------------------------------
 
 OP1 = operator_order(1)
 
@@ -163,18 +168,6 @@ OP1 = operator_order(1)
 def max_lead(f, order):
     exp = max(f.terms, key=order.key)
     return exp, f.terms[exp]
-
-
-class KeyLog:
-    """An order that records every exponent it is asked to key."""
-
-    def __init__(self, order):
-        self.order = order
-        self.keyed = []
-
-    def key(self, exp):
-        self.keyed.append(exp)
-        return self.order.key(exp)
 
 
 def test_leading_follows_the_asking_order():
@@ -188,24 +181,18 @@ def test_leading_follows_the_asking_order():
     assert f.leading(twin)[1] == 2 and f.leading(LO1)[1] == 1
 
 
-def test_leading_keys_terms_once_per_order():
-    f = SymbolPoly({(1, 0, 0): 1, (0, 0, 2): 2, (3, 0, 0): 3})
-    log = KeyLog(OP1)
-    f.le(log)
-    f.leading(log)
-    f.rest(log)
-    assert sorted(log.keyed) == sorted(f.terms)
-    # the monic copy keeps the lead monic() found, so asking keys nothing
-    m = f.monic(log)
-    assert m.leading(log) == ((0, 0, 2), 1)
-    assert sorted(log.keyed) == sorted(f.terms)
-    # an equal but distinct order object keys the terms again
-    other = KeyLog(OP1)
-    assert f.leading(other) == f.leading(log)
-    assert len(other.keyed) == len(f.terms)
-    other.keyed.clear()
-    assert m.leading(other) == max_lead(m, OP1)
-    assert len(other.keyed) == len(m.terms)
+def test_packed_lead_answers_only_its_order():
+    # a packed polynomial keeps its lead with the order object that asked;
+    # an equal order gets the same lead, and any other order is refused on
+    # every call, also once a lead is kept
+    f = _packed(parse_op("x*dx + 2*dx^2 - x^3", X), OP1)
+    lead = (OP1.key((0, 0, 2)), 2)
+    assert f.leading(OP1) == lead and f.leading(OP1) == lead
+    assert f.leading(operator_order(1)) == lead
+    for _ in range(2):
+        with pytest.raises(InputError, match="another order"):
+            f.leading(LO1)
+    assert f.leading(OP1) == lead
 
 
 def test_monic_divides_int_coefficients_exactly():
@@ -258,19 +245,53 @@ def test_reduce_global_keys_nothing(monkeypatch):
     assert keyed == []
 
 
+def test_bases_and_their_set_ups_key_nothing(monkeypatch):
+    # both strategies and the global loop pack their generators once and
+    # hand out monic bases from the packed elements, and a basis builds
+    # its division set-up from packed copies: between the tuple
+    # generators and the tuple basis no exponent is keyed by order.key
+    names = ["x", "y"]
+    f = parse_poly("x^2 + y^3", names)
+    gens = ann_fs(f) + [from_symbol(f)]
+    order = operator_order(2)
+    partials = [from_symbol(f.partial(i)) for i in range(2)]
+    want = [buchberger_mora(gens, order).elements,
+            groebner_lazard(gens, order).elements,
+            buchberger_global(partials, elimination_order(2, ()))]
+    keyed = []
+    key = MatrixOrder.key
+
+    def logging_key(self, exp):
+        keyed.append(exp)
+        return key(self, exp)
+
+    monkeypatch.setattr(MatrixOrder, "key", logging_key)
+    bases = [buchberger_mora(gens, order), groebner_lazard(gens, order)]
+    for gb in bases:
+        assert len(gb._divisors.copies) == len(gb.elements)
+    got = [gb.elements for gb in bases]
+    got.append(buchberger_global(partials, elimination_order(2, ())))
+    assert keyed == []
+    monkeypatch.undo()
+    assert got == want
+
+
 def test_primitives_factor_of_a_primitive_op_is_int_one():
-    # an op that is primitive already is its own copy, with the int 1 as
-    # its factor; any other gets a rational factor k with copy = k * op
+    # an op that is primitive already is its own copy, packed, with the int
+    # 1 as its factor; any other gets a rational factor k with copy = k * op
     order = operator_order(1)
     ops = [DiffOp._raw({(1, 0, 1): 2, (0, 0, 0): -3}),
            parse_op("4/3*x*dx - 2/9", X), parse_op("-2*x*dx + 6", X)]
     prepared = _Divisors(ops, order)
     copies, factors = prepared.copies, prepared.factors
     assert list(prepared) == ops
-    assert copies[0] is ops[0] and type(factors[0]) is int and factors[0] == 1
+    assert all(h.packing is order.packing for h in copies)
+    assert list(copies[0].unpacked().terms.items()) == \
+        list(ops[0].terms.items())
+    assert type(factors[0]) is int and factors[0] == 1
     assert factors[1:] == [Fraction(9, 2), Fraction(-1, 2)]
     for g, h, k in zip(ops, copies, factors):
-        assert h.terms == g.scale(k).terms
+        assert h.unpacked().terms == g.scale(k).terms
         assert math.gcd(*h.terms.values()) == 1 and h.leading(order)[1] > 0
     # the exit turns int quotients of the copies into those of the ops
     qbars = [{(0, 0, 0): 3}, {(0, 0, 1): 4}, {(1, 0, 0): 6}]

@@ -13,7 +13,7 @@ from bfunc.parser import parse_op, parse_poly
 from bfunc.printing import format_poly
 from bfunc.sympoly import SymbolPoly, _ring, accumulate
 from bfunc.weyl import (DiffOp, FsAction, HomogOp, apply_action, apply_to_fs,
-                        base_arity, e_part, from_symbol, in_e, op_mul, ord_e)
+                        base_arity, e_part, from_symbol, op_mul, ord_e)
 
 from conftest import act_on_poly, rand_op, rand_sympoly
 
@@ -396,15 +396,17 @@ def test_symbol_is_not_ring_map():
 def test_ord_e_and_in_e_rows():
     p = OP("x*dx^2 + x^2*dx^2 + x*dx + 1")
     assert ord_e(p) == 2
-    assert in_e(p).terms == OP("x*dx^2 + x^2*dx^2").terms
-    assert in_e(p).leading(series_order(3)) == ((1, 0, 2), 1)
+    # the initial part: the terms of top e-weight
+    initial = e_part(p, ord_e(p))
+    assert initial.terms == OP("x*dx^2 + x^2*dx^2").terms
+    assert initial.leading(series_order(3)) == ((1, 0, 2), 1)
 
     q = OP("(x + x*y)*dx^2 + x*dx + 1", XY)
     assert ord_e(q) == 2
 
     c = DiffOp.constant(7, 3)
     assert ord_e(c) == 0
-    assert in_e(c) == SymbolPoly.constant(7, 3)
+    assert e_part(c, ord_e(c)) == SymbolPoly.constant(7, 3)
 
 
 def test_ord_e_zero_rejected():
@@ -418,7 +420,7 @@ def test_lm_bridge_between_orders():
     op_ord, lo = operator_order(2), series_order(5)
     for _ in range(200):
         p = rand_op(rng, 2, terms=4)
-        assert p.le(op_ord) == in_e(p).le(lo)
+        assert p.le(op_ord) == e_part(p, ord_e(p)).le(lo)
 
 
 def test_e_part():

@@ -1,8 +1,9 @@
 """The approximate divisions as they ran on exponent tuples, before they ran
 on packed keys: the staircase partition, the term-local division by leading
-terms, and the series and operator division loops.  They pseudo-divide as
-the packed loops do, so both must give the same ints, scales and results,
-coefficient types included."""
+terms, and the series and operator division loops, with their set-ups read
+off the tuple copies (c.unpacked() for each packed copy c of a
+sympoly._Divisors).  They pseudo-divide as the packed loops do, so both
+must give the same ints, scales and results, coefficient types included."""
 
 import math
 from dataclasses import dataclass
@@ -14,7 +15,9 @@ from bfunc.orders import series_order
 from bfunc.rationals import Rational
 from bfunc.sympoly import (_divided, _Divisors, _integral, _rescale,
                            accumulate)
-from bfunc.weyl import DiffOp, e_part, in_e, op_mul, ord_e
+from bfunc.weyl import DiffOp, e_part, op_mul, ord_e
+
+from conftest import rest_of
 
 
 @dataclass(frozen=True)
@@ -79,8 +82,9 @@ def tuple_series_approx_div(f, divisors, order, bound):
     gives the pseudo-division's int quotient dicts qbars, its scale and the
     int dict of the tail, as the packed loop keeps them."""
     divisors = _Divisors.prepare(divisors, order)
-    leads = [g.leading(order) for g in divisors.copies]
-    rests = [g.rest(order) for g in divisors.copies]
+    copies = [c.unpacked() for c in divisors.copies]
+    leads = [g.leading(order) for g in copies]
+    rests = [rest_of(g, order) for g in copies]
     partition = build_partition([e for e, _ in leads])
     cls = f.__class__
     scale, data = _integral(f.terms)
@@ -120,9 +124,10 @@ def tuple_op_approx_div(p, divisors, bound, order):
         return OpDivisionResult([DiffOp.zero() for _ in divisors.given],
                                 DiffOp.zero(), bound, bound, [], True)
     order.packing.check(p.terms)
-    initials = _Divisors([in_e(g) for g in divisors.copies],
+    copies = [c.unpacked() for c in divisors.copies]
+    initials = _Divisors([e_part(g, ord_e(g)) for g in copies],
                          series_order(p.arity, order.tie))
-    levels = [(ord_e(g), sum(g.le(order))) for g in divisors.copies]
+    levels = [(ord_e(g), sum(g.le(order))) for g in copies]
     top = ord_e(p)
     losses = _losses(levels, top)
     cur = bound + sum(losses)
@@ -148,7 +153,7 @@ def tuple_op_approx_div(p, divisors, bound, order):
                 for d in quotients + [remainder]:
                     _rescale(d, den)
                 scale *= den
-            for (q, a, b), g, acc in zip(qs, divisors.copies, quotients):
+            for (q, a, b), g, acc in zip(qs, copies, quotients):
                 if q:
                     a *= den
                     ql = DiffOp._raw({e: c * a // b for e, c in q.items()})
