@@ -129,7 +129,8 @@ def mora_div(p, divisors, order):
     Returns a MoraResult whose remainder is either zero or has a leading
     monomial no divisor's leading monomial divides.  The remainder tail is
     not reduced.  Buchberger's loop reads only the remainder; the unit and
-    quotients certify b(s) in find_generator.
+    quotients certify b(s) in find_generator when the search's own
+    divisions cannot decide its candidate.
 
     The loop pseudo-divides on ints by the packed primitive copies of a
     sympoly._Divisors, taking one prepared under this order, such as a

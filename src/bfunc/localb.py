@@ -5,13 +5,16 @@ elimination, adjoin f, take a Groebner basis under the operator division
 order, then search for the minimal monic polynomial b(s) in the ideal.  The
 search computes approximate normal forms of the powers of s, each chained
 from the one before (NF(s^(i+1)) is the normal form of s * NF(s^i), see
-s_power_nfs) and exact only below the truncation degree, looks for an
+s_power_nfs) and exact only below the truncation degree, and looks for an
 exact rational dependency among their truncations (one echelon per
-truncation degree, see find_generator), and certifies each candidate by
-Mora division; a failed certification raises the truncation degree.  A
-division that cut nothing off (OpDivisionResult.exact) runs the same steps
-at every larger degree, so the chain is kept up to its first inexact
-division and chained again only from there.
+truncation degree, see find_generator).  Each division is an exact
+identity, so the chain itself decides most candidates: it accepts one
+with a polynomial certificate of unit 1, or proves it outside the ideal.
+Mora division decides only the rest.  A rejected candidate raises the
+truncation degree.  A division that cut nothing off
+(OpDivisionResult.exact) runs the same steps at every larger degree, so
+the chain is kept up to its first inexact division and chained again only
+from there.
 
 When f is weighted homogeneous with an isolated singularity at the origin,
 its annihilator has a closed form (the Euler and Koszul operators, see
@@ -30,6 +33,7 @@ from .linalg import add_column, nullspace
 from .opdiv import op_approx_div
 from .orders import MatrixOrder, elimination_order, operator_order
 from .rationals import Rational
+from .sympoly import accumulate
 from .weyl import DiffOp, apply_to_fs, base_arity, from_symbol, op_mul
 
 
@@ -215,8 +219,8 @@ def find_generator(gb, n0, nmax):
 
     Returns (coefficients ascending, final truncation degree, certificate).
     Searches candidate degrees upward; a degree with trivial kernel stays
-    ruled out when the truncation degree grows, so after a failed
-    certification only the truncation degree is raised.  The chain of
+    ruled out when the truncation degree grows, so after a rejected
+    candidate only the truncation degree is raised.  The chain of
     normal forms (s_power_nfs) is kept across degrees up to its first
     inexact division (OpDivisionResult.exact): the divisions before it are
     those of every larger degree, term for term, so only the rest is
@@ -230,52 +234,133 @@ def find_generator(gb, n0, nmax):
     repeats the echelon's work; it stays until the benchmark-only change on
     ROADMAP.md (item 6) replaces the benchmark's linalg.nullspace.cells
     counter, which perfbench/test_perfbench.py requires to be positive on
-    the b(s) search workload, with a count of echelon reductions.  All
-    normal forms (approx_nf) and every certification divide through the one
-    division set-up the basis keeps (GroebnerBasis._divisors).  Truncation
-    degrees run from n0 up to nmax; n0 < 1 or n0 > nmax is an InputError.
+    the b(s) search workload, with a count of echelon reductions.
+
+    The chain's own divisions decide most candidates (_chain_verdict).  An
+    accepted one is certified by the chain's summed quotients
+    (_chain_certificate): a polynomial relation with unit 1.  Mora division
+    decides only the candidates they cannot, and certifies the accepted
+    ones among them with its own unit.  All normal forms (approx_nf) and
+    every certification divide through the one division set-up the basis
+    keeps (GroebnerBasis._divisors).  Truncation degrees run from n0 up to
+    nmax; n0 < 1 or n0 > nmax is an InputError.
     """
     _check_bounds(n0, nmax)
-    # (normal form, exact) per power of s: the search reads no quotient
+    # the division of each power of s
     d, chain = 0, []
     for bound in range(n0, nmax + 1):
-        chain = list(itertools.takewhile(lambda link: link[1], chain))
-        pulled = s_power_nfs(gb, bound, chain[-1][0] if chain else None)
+        chain = list(itertools.takewhile(lambda div: div.exact, chain))
+        pulled = s_power_nfs(gb, bound, chain[-1].remainder if chain else None)
         pivots = []
         for i in itertools.count():
             if i == len(chain):
-                div = next(pulled)
-                chain.append((div.remainder, div.exact))
+                chain.append(next(pulled))
             dependency = add_column(
-                pivots, chain[i][0].truncate(bound).terms, i)
+                pivots, chain[i].remainder.truncate(bound).terms, i)
             if i >= d and len(pivots) <= i:
                 break
         d = i
-        kernel = dependency_kernel([nf for nf, _ in chain], bound)
+        kernel = dependency_kernel([div.remainder for div in chain], bound)
         # s^0..s^(d-1) are independent, so both eliminations find one
         # dependency, monic in s^d
         if kernel != [dependency]:
             raise BfuncError("dependency kernel is not the echelon's single "
                              "monic vector")
         candidate = tuple(dependency)
-        cert = mora_div(_poly_in_s(candidate, gb.order.arity), gb._divisors,
-                        gb.order)
-        if cert.remainder.is_zero():
-            return candidate, bound, cert
+        verdict = _chain_verdict(gb, candidate, chain, bound)
+        if verdict:
+            return candidate, bound, _chain_certificate(gb, candidate, chain)
+        if verdict is None:
+            cert = mora_div(_poly_in_s(candidate, gb.order.arity),
+                            gb._divisors, gb.order)
+            if cert.remainder.is_zero():
+                return candidate, bound, cert
     raise ResourceLimitError(
         f"truncation degree exceeded {nmax} before certification",
         candidate=candidate, n_used=nmax)
 
 
+def _ints(coeffs):
+    """(d, the ints d * c) for the rationals coeffs, d the lcm of their
+    denominators."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
+
+def _chain_verdict(gb, candidate, chain, bound):
+    """Whether the chain's divisions prove the candidate b in the ideal
+    (True) or outside it (False); None when they cannot tell.
+
+    Link i of the chain is an exact identity s^i = sum_j Q_ij g_j + r_i
+    (see _chain_certificate), so b - R lies in the ideal for the residual
+    R = sum a_i r_i.  Below bound R vanishes, as the candidate is the
+    dependency of the truncated r_i, so only the terms at degree >= bound
+    are summed, on the divisions' int dicts over one lcm of their scales.
+    R = 0 proves b in the ideal.  A nonzero R whose leading term no lead
+    of the basis divides proves b outside it, as a nonzero remainder of
+    Mora division does: the basis is a standard basis, so b in the ideal
+    would put R there and its lead in the ideal of leads.  The test is the
+    guard-bit divisibility test mora_div makes.
+    """
+    packing = gb.order.packing
+    degree = packing.degree
+    den, ints = _ints(candidate)
+    scale = math.lcm(*(div._scale for div in chain))
+    residual = {}
+    for a, div in zip(ints, chain):
+        if a:
+            m = a * (scale // div._scale)
+            accumulate(residual, ((k, m * c) for k, c in div._rbar.items()
+                                  if degree(k) >= bound))
+    if not residual:
+        return True
+    lead = max(residual)
+    if any(packing.divides(g.le(gb.order), lead)
+           for g in gb._divisors.copies):
+        return None
+    return False
+
+
+def _chain_certificate(gb, candidate, chain):
+    """The relation b = sum_j (sum_i a_i Q_ij) g_j of a candidate whose
+    residual vanishes (_chain_verdict), as a MoraResult with unit 1 and
+    remainder 0.
+
+    Link 0 divides 1 and link i divides s * r_(i-1), with quotients q_ij,
+    so s^i = sum_j Q_ij g_j + r_i for the chained Q_ij = s Q_(i-1)j + q_ij
+    (s is central).  The sums run on the int dicts of the copies'
+    quotients over one lcm of their scales, keyed by K, where the shift by
+    s adds K(s); they leave through the basis's one exit,
+    sympoly._Divisors.quotients.
+    """
+    order = gb.order
+    packing = order.packing
+    shift = packing.slots[(order.arity - 1) // 2]
+    den, ints = _ints(candidate)
+    scale = math.lcm(*(div._scale for div in chain))
+    chained = [{} for _ in gb.elements]
+    sums = [{} for _ in gb.elements]
+    for a, div in zip(ints, chain):
+        m = scale // div._scale
+        chained = [accumulate({k + shift: c for k, c in q.items()},
+                              ((k, m * c) for k, c in qbar.items()))
+                   for q, qbar in zip(chained, div._qbars)]
+        if a:
+            for total, q in zip(sums, chained):
+                accumulate(total, ((k, a * c) for k, c in q.items()))
+    quotients = gb._divisors.quotients(
+        DiffOp, [packing.unpack_terms(total) for total in sums], den * scale)
+    return MoraResult(DiffOp.constant(1, order.arity), quotients,
+                      DiffOp.zero())
+
+
 # -- rational roots ------------------------------------------------------------
 
-def _eval_poly(coeffs, x, m=0):
-    """coeffs (ascending) at x by Horner's rule, reduced mod m if m != 0."""
+def _eval_poly(coeffs, x, m):
+    """coeffs (ascending) at x modulo m, by Horner's rule."""
     acc = 0
     for c in reversed(coeffs):
-        acc = acc * x + c
-        if m:
-            acc %= m
+        acc = (acc * x + c) % m
     return acc
 
 
@@ -292,6 +377,18 @@ def _deflate(coeffs, root):
 def _primitive_ints(p):
     g = math.gcd(*p)
     return [c // g for c in p] if g else p
+
+
+def _vanishes(p, root):
+    """Whether the int polynomial p (ascending) of degree d vanishes at the
+    rational root u/v: v^d p(u/v) = sum p_i u^i v^(d-i) by Horner's rule on
+    ints."""
+    u, v = root.numerator, root.denominator
+    acc, power = 0, 1
+    for c in reversed(p):
+        acc = acc * u + c * power
+        power *= v
+    return not acc
 
 
 def _pseudo_divmod(a, b):
@@ -321,8 +418,7 @@ def _squarefree_ints(work):
     the gcd is the last nonzero term of the primitive pseudo-remainder
     sequence of p and p', and the division is exact.
     """
-    scale = math.lcm(*(c.denominator for c in work))
-    p = _primitive_ints([int(c * scale) for c in work])
+    p = _primitive_ints(_ints(work)[1])
     g, h = p, _primitive_ints([i * c for i, c in enumerate(p)][1:])
     while h:
         g, h = h, _primitive_ints(_pseudo_divmod(g, h)[1])
@@ -372,9 +468,10 @@ def rational_roots(coeffs):
     factored: zero roots are stripped, the square-free part is taken on
     integers (_squarefree_ints), and one p-adic lifting pass yields at most
     one candidate per root of it modulo a prime, among them every rational
-    root (_candidates).  Each candidate that is a root is deflated out
-    exactly and retested for multiplicity; what stays is the irrational
-    cofactor.
+    root (_candidates).  Each candidate is tested on the primitive integer
+    multiple of the polynomial (_vanishes); one that is a root is deflated
+    out exactly, on rationals, and retested for multiplicity.  What stays
+    is the irrational cofactor.
     """
     work = [Rational(c) for c in coeffs]
     if not work or work[-1] != 1:
@@ -384,10 +481,12 @@ def rational_roots(coeffs):
         roots.append(Rational(0))
         work = work[1:]
     if len(work) > 1:
+        ints = _primitive_ints(_ints(work)[1])
         for cand in sorted(_candidates(_squarefree_ints(work))):
-            while len(work) > 1 and _eval_poly(work, cand) == 0:
+            while len(work) > 1 and _vanishes(ints, cand):
                 roots.append(cand)
                 work = _deflate(work, cand)
+                ints = _primitive_ints(_ints(work)[1])
     grouped = []
     for r in sorted(set(roots)):
         grouped.append((r, roots.count(r)))
@@ -402,7 +501,10 @@ class BFunctionResult:
 
     b holds ascending monic coefficients; roots pairs each rational root with
     its multiplicity; n_final is the truncation degree at certification; the
-    certificate is the Mora relation reducing b(s) to zero by the basis.
+    certificate is a relation unit * b(s) = sum(q_i * g_i) over the basis,
+    with remainder zero: the chain's polynomial relation with unit 1 when
+    the search's own divisions accept b(s), Mora division's otherwise (see
+    find_generator).
     """
 
     b: tuple

@@ -9,21 +9,21 @@ M_k and shrinks by M_k after each level, so the final remainder agrees with
 an exact division below the requested accuracy.
 
 The running remainder and the quotients are kept as ints by the rule of
-sympoly._Divisors and divided by their common scale once at exit, so the
-result is exact over Q.  They are keyed by the packed key K of the operator
-order (orders.Packing), packed once at entry and unpacked once at exit: a
-term's e-weight is K's first digit, a level moves to the series order by
-subtracting one constant times its e-weight and its quotients move back by
-adding one, and the products run on packed copies of the divisors.
-Everything that depends only on the divisors and the order is built once
-per divisor list, from the packed copies, in an _OpDivisors.  A
-GroebnerBasis keeps the one for its elements from its first division on,
-for as long as the basis lives; a plain list is prepared afresh on each
-call.
+sympoly._Divisors and divided by their common scale once, the remainder at
+exit and the quotients when first read, so the result is exact over Q.
+They are keyed by the packed key K of the operator order (orders.Packing),
+packed once at entry and unpacked once on the way out: a term's e-weight
+is K's first digit, a level moves to the series order by subtracting one
+constant times its e-weight and its quotients move back by adding one, and
+the products run on packed copies of the divisors.  Everything that
+depends only on the divisors and the order is built once per divisor list,
+from the packed copies, in an _OpDivisors.  A GroebnerBasis keeps the one
+for its elements from its first division on, for as long as the basis
+lives; a plain list is prepared afresh on each call.
 """
 
 import math
-from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InputError
 from .orders import operator_order, series_order
@@ -33,7 +33,6 @@ from .sympoly import (SymbolPoly, _divided, _Divisors, _integral, _rescale,
 from .weyl import DiffOp, op_mul, ord_e
 
 
-@dataclass(frozen=True)
 class OpDivisionResult:
     """P = sum(quotients_i * divisor_i) + remainder, exactly.
 
@@ -42,14 +41,31 @@ class OpDivisionResult:
     exact: no level cut a term off its e-part and every inner series
     division ended with an empty tail, so every larger bound runs the same
     steps and gives these quotients and this remainder.
+
+    op_approx_div hands over its pseudo-division as it ends, as
+    staircase.ApproxDivisionResult does: the int dicts _qbars of _scale
+    times the quotients of the copies in _divisors, its _OpDivisors, and
+    _rbar of _scale times the remainder, keyed by K under the divisors'
+    order.  The remainder is built at once, the exact quotients when first
+    read.
     """
 
-    quotients: list
-    remainder: object
-    requested_bound: int
-    initial_bound: int
-    schedule: list
-    exact: bool
+    def __init__(self, divisors, qbars, rbar, scale, requested_bound,
+                 initial_bound, schedule, exact):
+        self._divisors, self._qbars, self._rbar = divisors, qbars, rbar
+        self._scale = scale
+        self.remainder = _divided(
+            DiffOp, divisors.order.packing.unpack_terms(rbar), scale)
+        self.requested_bound = requested_bound
+        self.initial_bound = initial_bound
+        self.schedule = schedule
+        self.exact = exact
+
+    @cached_property
+    def quotients(self):
+        unpack = self._divisors.order.packing.unpack_terms
+        return self._divisors.quotients(
+            DiffOp, [unpack(q) for q in self._qbars], self._scale)
 
 
 def accuracy_schedule(divisors, top, order):
@@ -140,8 +156,8 @@ def op_approx_div(p, divisors, bound, order=None):
         raise InputError("accuracy bound must be at least 1")
     divisors = _OpDivisors.prepare(divisors, order)
     if p.is_zero():
-        return OpDivisionResult([DiffOp.zero() for _ in divisors.given],
-                                DiffOp.zero(), bound, bound, [], True)
+        return OpDivisionResult(divisors, [{} for _ in divisors.given], {},
+                                1, bound, bound, [], True)
     packing = divisors.order.packing
     initials = divisors.initials
     series = initials.order.packing
@@ -200,8 +216,5 @@ def op_approx_div(p, divisors, bound, order=None):
                     minus = g.__class__._raw({e: -c for e, c in ql.items()})
                     accumulate(remainder, op_mul(minus, g).terms.items())
         cur -= losses[k]
-    unpack = packing.unpack_terms
-    return OpDivisionResult(
-        divisors.quotients(DiffOp, [unpack(q) for q in quotients], scale),
-        _divided(DiffOp, unpack(remainder), scale), bound, initial_bound,
-        schedule, exact)
+    return OpDivisionResult(divisors, quotients, remainder, scale, bound,
+                            initial_bound, schedule, exact)

@@ -438,14 +438,14 @@ def rekeying_mora_div(p, divisors, order):
 
 
 def test_mora_div_matches_rekeying_loop(monkeypatch, time_limit):
-    # Every division Buchberger's loop makes on the corpus, plus the b(s)
-    # certifications of find_generator (rejected candidates included), is
-    # recorded and replayed through both loops, next to random dividends
-    # whose reduction needs a unit (x - x^2).  Each call is labelled by the
-    # binding it came through: groebner's serves Buchberger's loop, localb's
-    # serves find_generator's certification.  The last pool's divisors are
-    # scaled by non-integral rationals, so their primitive copies' factors
-    # differ from 1.
+    # Every division Buchberger's loop makes on the corpus, plus the
+    # division of every b(s) candidate of find_generator, is recorded and
+    # replayed through both loops, next to random dividends whose reduction
+    # needs a unit (x - x^2).  The search decides most candidates from its
+    # own divisions and calls Mora on few, so each candidate is divided
+    # here, whoever decided it, rejected ones included.  The last pool's
+    # divisors are scaled by non-integral rationals, so their primitive
+    # copies' factors differ from 1.
     rng = random.Random(47)
     pools = [[OP("x - x^2")], [OP("(1 + x)*dx + x")],
              [OP("dx^2 + x*dx + 1"), OP("s - x")], [OP("x*dx - s"), OP("x^2")],
@@ -454,23 +454,27 @@ def test_mora_div_matches_rekeying_loop(monkeypatch, time_limit):
     calls = [(rand_op(rng, 1, terms=3, max_deg=3), rng.choice(pools), ORD1,
               "random") for _ in range(40)]
 
-    def recorder(kind):
-        def recording(p, divisors, order):
-            # unpacked, so that the reference loop can replay the call
-            calls.append((unpacked(p), [unpacked(g) for g in divisors],
-                          order, kind))
-            return mora_div(p, divisors, order)
-        return recording
+    def recording(p, divisors, order):
+        # unpacked, so that the reference loop can replay the call
+        calls.append((unpacked(p), [unpacked(g) for g in divisors], order,
+                      "spair"))
+        return mora_div(p, divisors, order)
 
-    monkeypatch.setattr(groebner, "mora_div", recorder("spair"))
-    monkeypatch.setattr(localb, "mora_div", recorder("cert"))
+    def candidates(gb, candidate, chain, bound):
+        calls.append((localb._poly_in_s(candidate, gb.order.arity),
+                      list(gb.elements), gb.order, "candidate"))
+        return verdict(gb, candidate, chain, bound)
+
+    verdict = localb._chain_verdict
+    monkeypatch.setattr(groebner, "mora_div", recording)
+    monkeypatch.setattr(localb, "_chain_verdict", candidates)
     for gens, order in corpus_ideals():
         buchberger_mora(gens, order)
     localb.find_generator(example_gb()[0], 1, 64)
     localb.local_b_function(parse_poly("x^2 + y^3", ["x", "y"]))
     monkeypatch.undo()
     assert sum(c[3] == "spair" for c in calls) > 50
-    assert sum(c[3] == "cert" for c in calls) >= 3
+    assert sum(c[3] == "candidate" for c in calls) >= 3
 
     def exact(res):
         return [(type(q), q.terms)

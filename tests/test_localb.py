@@ -7,14 +7,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from bfunc import localb
 from bfunc.errors import BfuncError, InputError, ResourceLimitError
 from bfunc.groebner import (MoraResult, buchberger_global, buchberger_mora,
                             groebner_lazard, mora_div)
 from bfunc.linalg import add_column
-from bfunc.localb import (_poly_in_s, _squarefree_ints, _yano_generators,
-                          ann_fs, approx_nf, dependency_kernel,
-                          find_generator, local_b_function, rational_roots,
-                          s_power_nfs, verify_certificate)
+from bfunc.localb import (BFunctionResult, _poly_in_s, _squarefree_ints,
+                          _yano_generators, ann_fs, approx_nf,
+                          dependency_kernel, find_generator,
+                          local_b_function, rational_roots, s_power_nfs,
+                          verify_certificate)
 from bfunc.orders import elimination_order, operator_order
 from bfunc.parser import parse_op, parse_poly
 from bfunc.printing import format_poly, format_univariate
@@ -376,8 +378,9 @@ def _scratch_find_generator(gb, n0, nmax):
 
 def _fresh_chain_search(gb, n0, nmax):
     """find_generator as it was before the chain was kept across truncation
-    degrees: the normal forms are chained afresh at every degree."""
-    d = 0
+    degrees: the normal forms are chained afresh at every degree, and Mora
+    division decides every candidate.  Returns the candidates tried too."""
+    d, candidates = 0, []
     for bound in range(n0, nmax + 1):
         nfs, pivots = [], []
         for div in s_power_nfs(gb, bound):
@@ -388,10 +391,11 @@ def _fresh_chain_search(gb, n0, nmax):
                 break
         d = len(nfs) - 1
         candidate = tuple(dependency)
+        candidates.append(candidate)
         cert = mora_div(_poly_in_s(candidate, gb.order.arity), gb._divisors,
                         gb.order)
         if cert.remainder.is_zero():
-            return candidate, bound, cert
+            return candidate, bound, cert, candidates
     raise AssertionError("no certified candidate")
 
 
@@ -434,11 +438,10 @@ INEXACT_CHAINS = ("x^2 + y^2 + x^3", "x^2 + y^3 + y^4", "x*((x - 1)^2 + y^3)",
                   "x^2*(y + 1)^2*z^2")
 
 
-def test_kept_chain_matches_fresh_chains(monkeypatch):
-    # the chain kept across truncation degrees gives the search that chains
-    # afresh at every degree: on the b(s) search benchmark's bases at seeds
-    # 1-2, whose chains are exact, and from n0 = 1 on four inputs whose
-    # chains turn inexact, which are chained again
+def _chain_cases():
+    """(basis, n0, whether its chain is exact): the b(s) search benchmark's
+    bases at seeds 1-2, whose chains are exact, and from n0 = 1 the four
+    inputs whose chains turn inexact."""
     cases = [(gb, 2 * f.arity, True)
              for seed in (1, 2) for f, gb in bsearch_bases(seed)]
     for text in INEXACT_CHAINS:
@@ -447,7 +450,16 @@ def test_kept_chain_matches_fresh_chains(monkeypatch):
         gb = buchberger_mora(ann_fs(f) + [from_symbol(f)],
                              operator_order(len(names)))
         cases.append((gb, 1, False))
-    calls, tables = [], []
+    return cases
+
+
+def test_kept_chain_matches_fresh_chains(monkeypatch):
+    # the chain kept across truncation degrees gives the search that chains
+    # afresh at every degree and has Mora decide each candidate: the same
+    # candidates, b(s) and final degree, and a certificate that checks, on
+    # the chain cases; the inexact chains are chained again
+    cases = _chain_cases()
+    calls, tables, candidates = [], [], []
 
     def counting(*args):
         calls.append(args)
@@ -455,7 +467,9 @@ def test_kept_chain_matches_fresh_chains(monkeypatch):
 
     def recording(nfs, bound):
         tables.append((nfs, bound))
-        return dependency_kernel(nfs, bound)
+        kernel = dependency_kernel(nfs, bound)
+        candidates.append(tuple(kernel[0]))
+        return kernel
 
     for gb, n0, exact in cases:
         assert all(div.exact for div in itertools.islice(
@@ -464,6 +478,7 @@ def test_kept_chain_matches_fresh_chains(monkeypatch):
         monkeypatch.setattr("bfunc.localb.dependency_kernel", recording)
         calls.clear()
         tables.clear()
+        candidates.clear()
         got = find_generator(gb, n0, 64)
         monkeypatch.undo()
         # at every degree the table is the chain made afresh at it
@@ -474,10 +489,74 @@ def test_kept_chain_matches_fresh_chains(monkeypatch):
         assert [(type(c), c) for c in got[0]] == \
             [(type(c), c) for c in want[0]]
         assert got[1] == want[1]
-        assert _cert_terms(got[2]) == _cert_terms(want[2])
+        assert candidates == want[3]
+        verify_certificate(BFunctionResult(got[0], [], got[1], got[2], gb))
         if exact:
             # each power of s is divided once, at whatever bound it is needed
             assert len(calls) == len(got[0])
+
+
+def test_chain_verdicts_agree_with_mora(monkeypatch):
+    # every candidate the chain's own divisions reject has a nonzero Mora
+    # remainder, and every one they accept a zero one, on the chain cases
+    verdicts = []
+
+    def recording(gb, candidate, chain, bound):
+        verdict = chain_verdict(gb, candidate, chain, bound)
+        verdicts.append((gb, candidate, verdict))
+        return verdict
+
+    chain_verdict = localb._chain_verdict
+    monkeypatch.setattr(localb, "_chain_verdict", recording)
+    for gb, n0, _ in _chain_cases():
+        find_generator(gb, n0, 64)
+    monkeypatch.undo()
+    decided = [(gb, c, v) for gb, c, v in verdicts if v is not None]
+    assert {v for _, _, v in decided} == {True, False}
+    for gb, candidate, verdict in decided:
+        cert = mora_div(_poly_in_s(candidate, gb.order.arity), gb._divisors,
+                        gb.order)
+        assert cert.remainder.is_zero() == verdict
+
+
+def test_chain_certificate_has_unit_one(monkeypatch):
+    # the b(s) search benchmark's candidates are decided without Mora, and
+    # the accepted one comes with the chain's polynomial relation: unit 1,
+    # remainder 0, and one quotient per basis element
+    def no_mora(*args):
+        raise AssertionError("Mora division called")
+
+    monkeypatch.setattr(localb, "mora_div", no_mora)
+    for f, gb in bsearch_bases():
+        b, n_final, cert = find_generator(gb, 2 * f.arity, 64)
+        assert cert.unit == DiffOp.constant(1, f.arity)
+        assert cert.remainder.is_zero()
+        verify_certificate(BFunctionResult(b, [], n_final, cert, gb))
+
+
+def test_changed_chain_quotient_fails_verification():
+    # one coefficient of one chained quotient, changed, breaks the relation
+    f, gb = bsearch_bases()[0]
+    b, n_final, cert = find_generator(gb, 2 * f.arity, 64)
+    res = BFunctionResult(b, [], n_final, cert, gb)
+    verify_certificate(res)
+    j = next(j for j, q in enumerate(cert.quotients) if q.terms)
+    terms = dict(cert.quotients[j].terms)
+    exp = next(iter(terms))
+    terms[exp] += 1
+    quotients = list(cert.quotients)
+    quotients[j] = DiffOp._raw(terms)
+    bad = dataclasses.replace(cert, quotients=quotients)
+    with pytest.raises(BfuncError, match="relation"):
+        verify_certificate(dataclasses.replace(res, certificate=bad))
+
+
+def test_crossing_keeps_mora_certificate():
+    # x^2*(y+1)^2*z^2 has b_local != b_global, so no relation with unit 1
+    # exists: its candidate goes to Mora division, whose unit is not 1
+    res = local_b_function(F())
+    assert res.certificate.unit != DiffOp.constant(1, F().arity)
+    verify_certificate(res)
 
 
 # ------------------------------------------------------------------ kernel
@@ -702,6 +781,20 @@ def test_roots_explicit(roots, time_limit):
     if len(roots) < 10 and all(abs(r.numerator) * r.denominator < 10 ** 6
                                for r in linear):
         assert rational_roots(coeffs) == _trial_division_roots(coeffs)
+
+
+def test_roots_of_brieskorn_pham_b_functions(time_limit):
+    # the 35 b(s) of x^a + y^b, 2 <= a <= 8 and a <= b <= 9: every root is
+    # found once, as a Fraction with an int multiplicity, and the cofactor
+    # is the Fraction 1
+    for a in range(2, 9):
+        for b in range(a, 10):
+            roots = _brieskorn_pham_roots(a, b)
+            got, cofactor = rational_roots(_expand(*[[-r, 1] for r in roots]))
+            assert got == [(r, 1) for r in roots]
+            assert all(type(r) is Fraction and type(m) is int
+                       for r, m in got)
+            assert cofactor == (1,) and type(cofactor[0]) is Fraction
 
 
 # numerators and denominators up to 10^9, past the trial-division oracle

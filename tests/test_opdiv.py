@@ -8,7 +8,7 @@ from bfunc import localb, opdiv, sympoly
 from bfunc.errors import InputError
 from bfunc.groebner import buchberger_mora, mora_div
 from bfunc.localb import ann_fs
-from bfunc.opdiv import OpDivisionResult, accuracy_schedule, op_approx_div
+from bfunc.opdiv import accuracy_schedule, op_approx_div
 from bfunc.orders import (TIE_ORDERS, MatrixOrder, elimination_order,
                           homogenized_order, operator_order, series_order)
 from bfunc.parser import parse_op, parse_poly
@@ -18,7 +18,8 @@ from bfunc.sympoly import SymbolPoly, _primitive, accumulate
 from bfunc.weyl import DiffOp, e_part, from_symbol, op_mul, ord_e
 
 from conftest import bsearch_bases, rand_op, rand_sympoly, rest_of, unpacked
-from tuple_division import build_partition, tuple_op_approx_div
+from tuple_division import (build_partition, division_result,
+                            tuple_op_approx_div)
 
 X = ["x"]
 
@@ -356,8 +357,8 @@ def fraction_op_approx_div(p, divisors, bound, order):
     series division above."""
     divisors = list(divisors)
     if p.is_zero():
-        return OpDivisionResult([DiffOp.zero() for _ in divisors],
-                                DiffOp.zero(), bound, bound, [], True)
+        return division_result([DiffOp.zero() for _ in divisors],
+                               DiffOp.zero(), bound, bound, [], True)
     sorder = series_order(p.arity, order.tie)
     initials = [e_part(g, ord_e(g)) for g in divisors]
     top = ord_e(p)
@@ -380,8 +381,8 @@ def fraction_op_approx_div(p, divisors, bound, order):
                     quotients[i] = quotients[i] + ql
                     remainder = remainder - op_mul(ql, divisors[i])
         cur -= losses[k]
-    return OpDivisionResult(quotients, remainder, bound, initial_bound,
-                            schedule, exact)
+    return division_result(quotients, remainder, bound, initial_bound,
+                           schedule, exact)
 
 
 def exact(p):
@@ -491,13 +492,22 @@ def test_prepared_basis_divides_as_its_element_list(monkeypatch):
         assert got.initial_bound == want.initial_bound
 
 
+def crossing_basis():
+    """The Mora basis of x^2*(y+1)^2*z^2, whose chain turns inexact, so that
+    find_generator from n0 = 1 calls Mora division on a candidate."""
+    f = parse_poly("x^2*(y + 1)^2*z^2", ["x", "y", "z"])
+    return buchberger_mora(ann_fs(f) + [from_symbol(f)], operator_order(3))
+
+
 def test_find_generator_prepares_the_basis_once(monkeypatch):
     # every division of a b(s) search, the approximate ones and Mora's
     # certifications alike, divides through the set-up the basis keeps:
     # one primitive copy per basis element and one per initial part, made
     # from their packed terms, however many normal forms and candidates
-    # the search goes through
-    f, gb = bsearch_bases()[0]
+    # the search goes through.  The b(s) search benchmark's curve has its
+    # candidates decided by the chain; the crossing has one go to Mora.
+    f, curve = bsearch_bases()[0]
+    cases = [(curve, 2 * f.arity), (crossing_basis(), 1)]
     made, divisions, certifications = [], [], []
 
     def counting(op, order):
@@ -516,41 +526,59 @@ def test_find_generator_prepares_the_basis_once(monkeypatch):
     monkeypatch.setattr(sympoly, "_primitive", counting)
     monkeypatch.setattr(localb, "op_approx_div", counting_division)
     monkeypatch.setattr(localb, "mora_div", counting_certification)
-    localb.find_generator(gb, 2 * f.arity, 64)
-    n = len(gb.elements)
-    assert len(divisions) > 2 * n and len(certifications) > 1
-    assert len(made) == 2 * n
-    assert [unpacked(a).terms for a in made[:n]] == \
-        [g.terms for g in gb.elements]
-    assert [unpacked(a).terms for a in made[n:]] == \
-        [e_part(g, ord_e(g)).terms for g in map(unpacked, gb._divisors.copies)]
-    # the set-up lives as long as the basis
-    localb.find_generator(gb, 2 * f.arity, 64)
-    assert len(made) == 2 * n
+    for gb, n0 in cases:
+        made.clear()
+        divisions.clear()
+        localb.find_generator(gb, n0, 64)
+        n = len(gb.elements)
+        assert len(divisions) > 2
+        assert all(args[1] is gb._divisors for args in divisions)
+        assert len(made) == 2 * n
+        assert [unpacked(a).terms for a in made[:n]] == \
+            [g.terms for g in gb.elements]
+        assert [unpacked(a).terms for a in made[n:]] == \
+            [e_part(g, ord_e(g)).terms
+             for g in map(unpacked, gb._divisors.copies)]
+        # the set-up lives as long as the basis
+        localb.find_generator(gb, n0, 64)
+        assert len(made) == 2 * n
+    assert certifications
+    assert all(args[1] is cases[1][0]._divisors for args in certifications)
 
 
 def test_certification_through_the_kept_set_up(monkeypatch):
     # find_generator certifies through the set-up the basis keeps; replayed
-    # with the plain list of its elements, every certification of the b(s)
-    # search benchmark's bases, rejected candidates included, is the same
-    calls = []
+    # with the plain list of its elements, every Mora certification of the
+    # crossing, and the Mora division of every candidate of the b(s) search
+    # benchmark's bases, which their chains decide, are the same
+    calls, candidates = [], []
 
     def recording(p, divisors, order):
         calls.append((p, divisors, order))
         return mora_div(p, divisors, order)
 
+    def candidate_recording(gb, candidate, chain, bound):
+        candidates.append(
+            (localb._poly_in_s(candidate, gb.order.arity), gb._divisors,
+             gb.order))
+        return verdict(gb, candidate, chain, bound)
+
+    verdict = localb._chain_verdict
     monkeypatch.setattr(localb, "mora_div", recording)
+    monkeypatch.setattr(localb, "_chain_verdict", candidate_recording)
+    crossing = crossing_basis()
+    localb.find_generator(crossing, 1, 64)
     bases = bsearch_bases()
     for f, gb in bases:
         localb.find_generator(gb, 2 * f.arity, 64)
     monkeypatch.undo()
-    assert len(calls) > len(bases)
+    assert calls and len(candidates) > len(bases) + len(calls)
 
     def exact_relation(res):
         return [exact(q) for q in [res.unit, res.remainder] + res.quotients]
 
-    kept = {id(gb._divisors): gb for _, gb in bases}
-    for p, divisors, order in calls:
+    kept = {id(gb._divisors): gb for _, gb in bases + [(None, crossing)]}
+    for p, divisors, order in calls + candidates:
         gb = kept[id(divisors)]
         assert order is gb.order
         assert exact_relation(mora_div(p, divisors, order)) == \

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 from bfunc.errors import InputError
-from bfunc.opdiv import OpDivisionResult, _losses
+from bfunc.opdiv import _losses
 from bfunc.orders import series_order
 from bfunc.rationals import Rational
 from bfunc.sympoly import (_divided, _Divisors, _integral, _rescale,
@@ -115,14 +115,23 @@ def tuple_series_approx_div(f, divisors, order, bound):
         qbars=qbars, scale=scale, tail_ints=diff.terms)
 
 
+def division_result(quotients, remainder, bound, initial_bound, schedule,
+                    exact):
+    """The fields of an opdiv.OpDivisionResult that the reference loops
+    give, with the quotients built already."""
+    return SimpleNamespace(quotients=quotients, remainder=remainder,
+                           requested_bound=bound, initial_bound=initial_bound,
+                           schedule=schedule, exact=exact)
+
+
 def tuple_op_approx_div(p, divisors, bound, order):
     """op_approx_div on tuples, on tuple_series_approx_div."""
     if bound < 1:
         raise InputError("accuracy bound must be at least 1")
     divisors = _Divisors(divisors, order)
     if p.is_zero():
-        return OpDivisionResult([DiffOp.zero() for _ in divisors.given],
-                                DiffOp.zero(), bound, bound, [], True)
+        return division_result([DiffOp.zero() for _ in divisors.given],
+                               DiffOp.zero(), bound, bound, [], True)
     order.packing.check(p.terms)
     copies = [c.unpacked() for c in divisors.copies]
     initials = _Divisors([e_part(g, ord_e(g)) for g in copies],
@@ -160,7 +169,7 @@ def tuple_op_approx_div(p, divisors, bound, order):
                     accumulate(acc, ql.terms.items())
                     accumulate(remainder, op_mul(-ql, g).terms.items())
         cur -= losses[k]
-    return OpDivisionResult(
+    return division_result(
         divisors.quotients(DiffOp, quotients, scale),
         _divided(DiffOp, remainder, scale), bound, initial_bound, schedule,
         exact)
