@@ -27,10 +27,16 @@ the largest K and the heaps hold ints; a monomial product is one
 addition; a lead divides an exponent when one subtraction leaves no guard
 bit set.  The loop's basis is one sympoly._Divisors of packed elements,
 grown by one element at a time and handed to every division, so each
-element is made primitive and keyed once.  The elements are made monic
-and unpacked once, at exit (_monic).  mora_div, reduce_global and spair
-take packed operands from the loop and tuple ones from anywhere else: those
-are packed on entry and the results unpacked at exit.
+element is made primitive and keyed once, and its lead read once.  The
+elements are made monic and unpacked once, at exit (_monic).  mora_div,
+reduce_global and spair take packed operands from the loop and tuple ones
+from anywhere else: those are packed on entry and the results unpacked at
+exit.
+
+A division step adds its product m*g straight into the running dividend
+through op_mul's into, as Mora's unit and quotient updates and spair's two
+products do: no product is collected on its own first (Monagan and Pearce,
+CASC 2007).
 
 Every element the loop appends, generators included, is primitive: int
 coefficients with gcd 1 and a positive lead.  Its S-pairs cross-multiply the
@@ -115,14 +121,6 @@ def _top(heap, h):
     return -heap[0]
 
 
-def _subtract(h, product):
-    """Add product (minus the quotient term times a divisor) into the dict h
-    in place; returns the exponents it brings into h."""
-    new = [e for e in product.terms if e not in h]
-    accumulate(h, product.terms.items())
-    return new
-
-
 def mora_div(p, divisors, order):
     """Mora division of p by the divisors under a local order.
 
@@ -147,18 +145,17 @@ def mora_div(p, divisors, order):
     sign, guard, degree = packing.sign, packing.guard, packing.degree
     dividend = _packed(p, order)
     cls = dividend.__class__
-    # pool entries: (sign * K of the leading exponent, leading term, ecart,
-    # op, origin).  origin: divisor index, or the (unit, quotients) snapshot
-    # for a partial remainder of p itself.
-    pool = []
-    for i, g in enumerate(divisors.copies):
-        lead = g.leading(order)
-        pool.append((sign * lead[0], lead, ecart(g, order), g, i))
+    # pool entries: (sign * K of the leading exponent, K, its coefficient,
+    # ecart, op, origin).  origin: divisor index, or the (unit, quotients)
+    # snapshot for a partial remainder of p itself.
+    pool = [(mark, key, coeff, ecart(g, order), g, i)
+            for i, (g, (key, mark, coeff))
+            in enumerate(zip(divisors.copies, divisors.leads))]
 
     # Lazy max-heaps over the exponents of h, by K and by total degree (for
-    # the ecart): an exponent is pushed when a subtraction brings it into
-    # h, and an entry whose exponent has left h is dropped when it reaches
-    # the top.
+    # the ecart): an exponent is pushed when a step's product brings it
+    # into h, and an entry whose exponent has left h is dropped when it
+    # reaches the top.
     lam, h = _integral(dividend.terms)
     unit = {0: lam}
     quots = [{} for _ in divisors.copies]
@@ -172,36 +169,37 @@ def mora_div(p, divisors, order):
         best = None
         for entry in pool:
             if not (mark - entry[0]) & guard:
-                if best is None or entry[2] < best[2]:
+                if best is None or entry[3] < best[3]:
                     best = entry
         if best is None:
             break
         while by_degree[0][1] not in h:
             heapq.heappop(by_degree)
         h_ecart = -by_degree[0][0] - degree(he)
-        if best[2] > h_ecart:
-            pool.append((mark, (he, h[he]), h_ecart, cls._raw(dict(h)),
+        if best[3] > h_ecart:
+            pool.append((mark, he, h[he], h_ecart, cls._raw(dict(h)),
                          (cls._raw(dict(unit)),
                           [cls._raw(dict(q)) for q in quots])))
-        prov = best[4]
-        a, b = _ratio(-h[he], best[1][1])
+        _, eg, cg, _, g, prov = best
+        a, b = _ratio(-h[he], cg)
         if b != 1:
             for d in [h, unit] + quots:
                 _rescale(d, b)
             lam *= b
-        # m is minus the quotient term, so every update below is a sum
-        m = _mono(cls, he, best[1][0], a)
-        for e in _subtract(h, op_mul(m, best[3])):
+        # m is minus the quotient term, so every update below adds a
+        # product into its dict
+        m = _mono(cls, he, eg, a)
+        for e in op_mul(m, g, h):
             heapq.heappush(by_order, -e)
             heapq.heappush(by_degree, (-degree(e), e))
         if isinstance(prov, int):
-            accumulate(quots[prov], (-m).terms.items())
+            accumulate(quots[prov], ((he - eg, -a),))
         else:
             u_s, q_s = prov
-            accumulate(unit, op_mul(m, u_s).terms.items())
+            op_mul(m, u_s, unit)
             for q, qs in zip(quots, q_s):
                 if qs.terms:
-                    accumulate(q, op_mul(m, qs).terms.items())
+                    op_mul(m, qs, q)
     if dividend is not p:
         cls, back = p.__class__, packing.unpack_terms
         unit, h, quots = back(unit), back(h), [back(q) for q in quots]
@@ -216,14 +214,18 @@ def spair(p, q, order, mul=op_mul):
     With a/b = c_q/c_p in lowest terms for the leading coefficients, this is
     a m_p p - b m_q q, where the monomials m_p and m_q lift the two leading
     exponents to their join.  For int leads a = c_q/d and b = c_p/d with
-    d = gcd(c_p, c_q); for monic p and q both are 1.  Packed operands give
-    a packed S-pair; others are packed for it and it is unpacked."""
+    d = gcd(c_p, c_q); for monic p and q both are 1.  Both products are
+    added into one dict, the second with its monomial negated.  Packed
+    operands give a packed S-pair; others are packed for it and it is
+    unpacked."""
     pp, qq = _packed(p, order), _packed(q, order)
     (ep, cp), (eq, cq) = pp.leading(order), qq.leading(order)
     join = order.packing.join(ep, eq)
     a, b = _ratio(cq, cp)
-    s = (mul(_mono(pp.__class__, join, ep, a), pp)
-         - mul(_mono(qq.__class__, join, eq, b), qq))
+    data = {}
+    mul(_mono(pp.__class__, join, ep, a), pp, data)
+    mul(_mono(qq.__class__, join, eq, -b), qq, data)
+    s = pp.__class__._raw(data)
     return s if pp is p else s.unpacked()
 
 
@@ -245,21 +247,24 @@ def _buchberger_loop(gens, order, reduce_fn, mul, select_key):
     elements = basis.copies
     if not elements:
         raise InputError("all generators are zero")
-    # the leads as exponent tuples, for the joins, and as sign * K, for the
-    # chain criterion's divisibility test
-    exps = [packing.unpack(g.le(order)) for g in elements]
-    marks = [sign * g.le(order) for g in elements]
+    # the leads as exponent tuples, for the joins; the chain criterion's
+    # divisibility test reads their sign * K from basis.leads
+    leads = basis.leads
+    exps = [packing.unpack(key) for key, _, _ in leads]
 
     # (select_key(lcm), i, j, sign * K(lcm)) per open pair; (key, i, j) is
     # unique, so the heap never compares two joins and pops in (key, i, j)
-    # order.
+    # order.  Under buchberger_global the selection key is K(lcm) itself,
+    # so the join is packed once.
     queue = []
+    own_key = select_key == packing.pack
 
     def add_pairs(j):
         for i in range(j):
             lcm = tuple(map(max, exps[i], exps[j]))
-            heapq.heappush(queue, (select_key(lcm), i, j,
-                                   sign * packing.pack(lcm)))
+            key = select_key(lcm)
+            join = key if own_key else packing.pack(lcm)
+            heapq.heappush(queue, (key, i, j, sign * join))
 
     for j in range(len(elements)):
         add_pairs(j)
@@ -269,7 +274,7 @@ def _buchberger_loop(gens, order, reduce_fn, mul, select_key):
         # chain criterion: some k already paired off against both i and j
         # inside the join.
         skip = False
-        for k, mark in enumerate(marks):
+        for k, (_, mark, _) in enumerate(leads):
             if k == i or k == j or (join - mark) & guard:
                 continue
             a = (min(i, k), max(i, k))
@@ -287,9 +292,7 @@ def _buchberger_loop(gens, order, reduce_fn, mul, select_key):
         if not r.terms:
             continue
         basis.append(_primitive(r, order))
-        lead = elements[-1].le(order)
-        exps.append(packing.unpack(lead))
-        marks.append(sign * lead)
+        exps.append(packing.unpack(leads[-1][0]))
         add_pairs(len(elements) - 1)
     return elements
 
@@ -341,17 +344,21 @@ def reduce_global(p, divisors, order, mul=op_mul):
     terms) is not an integer, the dividend h and the remainder so far are
     multiplied by b first, so ints stay ints; the result is divided by the
     product of those factors, so it is the exact normal form over Q.  It
-    runs packed, and a p that was not packed gets its result unpacked."""
+    runs packed, and a p that was not packed gets its result unpacked.
+    The divisors are divided by as given, except that a sympoly._Divisors
+    prepared under this order, such as Buchberger's growing basis, gives
+    its primitive copies and the leads it keeps."""
     packing = order.packing
     sign, guard = packing.sign, packing.guard
     dividend = _packed(p, order)
     cls = dividend.__class__
-    # (sign * K, K, coefficient) of each divisor's lead, and the divisor
-    leads = []
-    for g in divisors:
-        g = _packed(g, order)
-        eg, cg = g.leading(order)
-        leads.append((sign * eg, eg, cg, g))
+    # (K, sign * K, coefficient) of each divisor's lead, and the divisor
+    if isinstance(divisors, _Divisors) and divisors.order is order:
+        leads, gs = divisors.leads, divisors.copies
+    else:
+        gs = [_packed(g, order) for g in divisors]
+        leads = [(k, sign * k, c)
+                 for k, c in (g.leading(order) for g in gs)]
     remainder = {}
     scale = 1
     # lazy max-heap over the exponents of h, kept as in mora_div
@@ -361,14 +368,14 @@ def reduce_global(p, divisors, order, mul=op_mul):
     while h:
         he = _top(heap, h)
         mark = sign * he
-        for lead_mark, eg, cg, g in leads:
+        for (eg, lead_mark, cg), g in zip(leads, gs):
             if not (mark - lead_mark) & guard:
                 a, b = _ratio(h[he], cg)
                 if b != 1:
                     for d in (h, remainder):
                         _rescale(d, b)
                     scale *= b
-                for e in _subtract(h, mul(_mono(cls, he, eg, -a), g)):
+                for e in mul(_mono(cls, he, eg, -a), g, h):
                     heapq.heappush(heap, -e)
                 break
         else:

@@ -123,8 +123,8 @@ class _OpDivisors(_Divisors):
         packing = order.packing
         series = series_order(arity, order.tie)
         self.lift = packing.slots[n] - series.packing.slots[n]
-        leads = [max(h.terms) for h in self.copies]
-        self.levels = [(packing.first(k), packing.degree(k)) for k in leads]
+        self.levels = [(packing.first(k), packing.degree(k))
+                       for k, _, _ in self.leads]
         ring = _ring(series.packing, SymbolPoly)
         self.initials = _SeriesDivisors(
             [ring._raw(self.level(h.terms, m))

@@ -67,12 +67,12 @@ class ApproxDivisionResult:
 
 
 class _SeriesDivisors(_Divisors):
-    """series_approx_div's sympoly._Divisors: it adds each copy's leading
-    term, its largest K, as (K, sign*K, coefficient), and its tail, the
-    other terms, as (their (K, coefficient) pairs, the tail's top total
-    degree minus the lead's, that top degree)."""
+    """series_approx_div's sympoly._Divisors: to each copy's kept leading
+    term it adds its tail, the other terms, as (their (K, coefficient)
+    pairs, the tail's top total degree minus the lead's, that top
+    degree)."""
 
-    __slots__ = ("leads", "tails")
+    __slots__ = ("tails",)
 
     def __init__(self, divisors, order):
         if len(order.rows) != 1 or any(w != -1 for w in order.rows[0]):
@@ -80,12 +80,10 @@ class _SeriesDivisors(_Divisors):
                 "series division expects the all--1 weight row order")
         super().__init__(divisors, order)
         packing = order.packing
-        self.leads, self.tails = [], []
-        for h in self.copies:
-            lead = max(h.terms)
+        self.tails = []
+        for h, (lead, _, _) in zip(self.copies, self.leads):
             tail = [(k, c) for k, c in h.terms.items() if k != lead]
             top = max(map(packing.degree, (k for k, _ in tail)), default=0)
-            self.leads.append((lead, packing.sign * lead, h.terms[lead]))
             self.tails.append((tail, top - packing.degree(lead), top))
 
 

@@ -32,20 +32,34 @@ from .errors import InputError, ZeroLeadingTermError
 from .rationals import Rational
 
 
-def accumulate(data, items):
+def accumulate(data, items, new=None):
     """Add (exponent, nonzero coefficient) pairs into the dict data in place,
-    deleting every term whose coefficients sum to zero; returns data."""
+    deleting every term whose coefficients sum to zero; returns data.
+
+    Given a list new, it appends each exponent that enters data, and a term
+    data held before that cancels midway keeps its place, at 0, until the
+    items are done; so data ends, order included, as adding the collected
+    items would leave it."""
     get = data.get
+    held = []
     for exp, coeff in items:
         acc = get(exp)
         if acc is None:
             data[exp] = coeff
+            if new is not None:
+                new.append(exp)
         else:
             acc += coeff
             if acc:
                 data[exp] = acc
-            else:
+            elif new is None or exp in new:
                 del data[exp]
+            else:
+                data[exp] = acc
+                held.append(exp)
+    for exp in held:
+        if not data.get(exp, 1):
+            del data[exp]
     return data
 
 
@@ -133,13 +147,6 @@ class _Packed:
     def is_zero(self):
         return not self.terms
 
-    def __neg__(self):
-        return self.__class__._raw({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self.__class__._raw(accumulate(
-            dict(self.terms), ((k, -c) for k, c in other.terms.items())))
-
     def leading(self, order):
         """(K, coefficient) of the largest term under order, which must be
         the packing's order.  The lead is kept with the order object that
@@ -192,13 +199,15 @@ class _Divisors:
     by a quotient term's denominator keeps every coefficient an int.  A
     quotient q of k_i g_i is k_i q as one of g_i, and quotients() is that one
     exit; k_i is the int 1 where g_i is primitive.  The copies are packed
-    under the order, each g_i once, and a subclass reads what it adds for
-    its division off their K.  Iterating gives the g_i.  prepare() hands
-    back a set-up made under the same order object as it is.  Buchberger's
-    loop grows one set-up of its packed elements with append().
+    under the order, each g_i once, and leads keeps the leading term of
+    each, its largest K, as (K, sign*K, coefficient); a subclass reads what
+    it adds for its division off their K too.  Iterating gives the g_i.
+    prepare() hands back a set-up made under the same order object as it
+    is.  Buchberger's loop grows one set-up of its packed elements with
+    append().
     """
 
-    __slots__ = ("given", "order", "copies", "factors")
+    __slots__ = ("given", "order", "copies", "factors", "leads")
 
     def __init__(self, divisors, order):
         self.given = list(divisors)
@@ -212,12 +221,20 @@ class _Divisors:
                         Rational(next(iter(h.terms.values())),
                                  next(iter(g.terms.values())))
                         for h, g in zip(self.copies, packed)]
+        self.leads = []
+        for h in self.copies:
+            self._keep_lead(h)
+
+    def _keep_lead(self, h):
+        key = max(h.terms)
+        self.leads.append((key, self.order.packing.sign * key, h.terms[key]))
 
     def append(self, g):
         """Add g, primitive already, as a divisor and its own copy."""
         self.given.append(g)
         self.copies.append(g)
         self.factors.append(1)
+        self._keep_lead(g)
 
     @classmethod
     def prepare(cls, divisors, order):

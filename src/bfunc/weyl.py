@@ -16,8 +16,10 @@ adds a constant per index.  Most pairs have no d_i in the left term meeting
 an x_i in the right one, and give only their plain product; a pair whose d's
 and x's meet in one index walks that index's binomial factors by an int
 recurrence, and a pair that meets in several combines the walks of its
-indices.  The division loops hand op_mul packed operands; tuple operands are
-packed under a plain order for the product and unpacked after.
+indices.  The division loops hand op_mul packed operands, and a division
+step has it add the product straight into its running dividend (into), as
+the dividend-merging divisions of Monagan and Pearce (CASC 2007) do; tuple
+operands are packed under a plain order for the product and unpacked after.
 
 The weight e gives 0 to each x, 1 to s and to each xi.  Initial parts with
 respect to e drive the operator division layer, and they multiply
@@ -35,11 +37,12 @@ from .sympoly import SymbolPoly, _Packed, _ring, accumulate
 _PLAIN = {}
 
 
-def op_mul(a, b):
+def op_mul(a, b, into=None):
     """Normally ordered product of two operators given by their symbols.
 
     One pass over the term pairs pushes every Leibniz term, uncollected, and
-    sympoly.accumulate collects them once.  For a term x^alpha s^k d^beta of
+    sympoly.accumulate collects them once: into a new polynomial, or, when
+    into is given, into that dict in place.  For a term x^alpha s^k d^beta of
     a and a term x^gamma ... of b, nu runs over the multi-indices nu_i <=
     min(beta_i, gamma_i), and nu = 0, the plain product of the two terms,
     goes first.  A pair with no overlap (no i with beta_i, gamma_i both
@@ -56,10 +59,16 @@ def op_mul(a, b):
     have homogeneous products.
 
     Packed operands (sympoly._Packed, of one packing) give a packed product
-    of a's ring; tuple operands are packed, multiplied and unpacked.
+    of a's ring; tuple operands are packed, multiplied and unpacked.  into
+    is an output target, not a mode: a dict keyed like a's ring that packed
+    operands' product is added to instead (InputError for tuple ones), and
+    the call returns the keys that entered it, some of which may have left
+    again.  A product refused for its degree leaves into as it was.
     """
     if isinstance(a, _Packed):
-        return _product(a, b)
+        return _product(a, b, into)
+    if into is not None:
+        raise InputError("op_mul adds into a dict for packed operands only")
     if not a.terms or not b.terms:
         return a.__class__.zero()
     length = len(next(iter(a.terms)))
@@ -76,18 +85,20 @@ def _steps(ring):
     """The ring's Leibniz constants, made on its first product and kept on
     it: its packing, the packing's sign, low mask, field mask and degree
     limit, the mask of the d_i fields of a term's plain exponent, the (i,
-    shift of d_i, shift of x_i) of each base index, and a dict of walks.
-    The walk of (i, beta, gamma) lists (change of K, f_k) for k = 0..min(
-    beta, gamma): lowering x_i and d_i k times each (and raising h by 2k in
-    the homogenized algebra), and f_k = comb(beta, k) perm(gamma, k) by the
-    int recurrence f_k = f_(k-1) (beta - k + 1) (gamma - k + 1) / k."""
+    shift of d_i, shift of x_i) of each base index, a dict of walks and a
+    dict of what _product reads off each d part of a left term.  The walk
+    of (i, beta, gamma) lists (change of K, f_k) for k = 0..min(beta,
+    gamma): lowering x_i and d_i k times each (and raising h by 2k in the
+    homogenized algebra), and f_k = comb(beta, k) perm(gamma, k) by the int
+    recurrence f_k = f_(k-1) (beta - k + 1) (gamma - k + 1) / k; it is kept
+    under (i, beta), in a dict by gamma."""
     packing = ring.packing
     n = (packing.arity - 1) // 2
     shifts, field = packing.shifts, packing.field
     ring.steps = (packing, packing.sign, packing.low, field, packing.limit,
                   sum(field << shifts[n + 1 + i] for i in range(n)),
                   tuple((i, shifts[n + 1 + i], shifts[i]) for i in range(n)),
-                  {})
+                  {}, {})
     return ring.steps
 
 
@@ -105,8 +116,9 @@ def _walk(ring, i, beta, gamma):
     return walk
 
 
-def _product(a, b):
-    """op_mul on packed operands of one packing, in a's ring.
+def _product(a, b, into=None):
+    """op_mul on packed operands of one packing, in a's ring, or added into
+    the dict into.
 
     A field of a term is read from sign * K, whose low bits are the plain
     exponent.  A term of b that meets the d_i of a term of a in some indices
@@ -114,13 +126,13 @@ def _product(a, b):
     last index running fastest, nu = 0 first, as itertools.product gives
     them, and their int factors multiply before the coefficient does."""
     cls = a.__class__
+    packing, sign, low, field, limit, d_fields, spec, walks, by_dpart = \
+        cls.steps or _steps(cls)
+    if getattr(b, "packing", None) is not packing:
+        raise InputError("operands packed under different orders")
     a_terms, b_terms = a.terms, b.terms
     if not a_terms or not b_terms:
-        return cls.zero()
-    packing, sign, low, field, limit, d_fields, spec, walks = \
-        cls.steps or _steps(cls)
-    if b.__class__.packing is not packing:
-        raise InputError("operands packed under different orders")
+        return cls.zero() if into is None else []
     # every term of the product has at most the sum of the top degrees; a
     # monomial, as the division loops multiply by, is read directly
     if len(a_terms) == 1:
@@ -134,23 +146,29 @@ def _product(a, b):
     items = []
     push = items.append
     for ka, ca in a_terms.items():
-        sa = sign * ka
-        if not sa & d_fields:
-            if len(a_terms) == 1:
+        dpart = sign * ka & d_fields
+        if not dpart:
+            if len(a_terms) == 1 and into is None:
                 # a d-free monomial: one distinct term per term of b
                 return cls._raw({ka + kb: ca * cb
                                  for kb, cb in b_terms.items()})
             items += [(ka + kb, ca * cb) for kb, cb in b_terms.items()]
             continue
-        # (i, beta_i, shift of x_i) where a's term carries a d_i, and the
-        # x_i fields that meet them
-        dirs = []
-        meet = 0
-        for i, d_at, x_at in spec:
-            beta = sa >> d_at & field
-            if beta:
-                dirs.append((i, beta, x_at))
-                meet |= field << x_at
+        # (the walks of (i, beta_i) by gamma, i, beta_i, shift of x_i) where
+        # a's term carries a d_i, and the x_i fields that meet them, kept by
+        # d part
+        known = by_dpart.get(dpart)
+        if known is None:
+            dirs = []
+            meet = 0
+            for i, d_at, x_at in spec:
+                beta = dpart >> d_at & field
+                if beta:
+                    dirs.append((walks.setdefault((i, beta), {}), i, beta,
+                                 x_at))
+                    meet |= field << x_at
+            known = by_dpart[dpart] = meet, dirs
+        meet, dirs = known
         for kb, cb in b_terms.items():
             cab = ca * cb
             base = ka + kb
@@ -159,18 +177,21 @@ def _product(a, b):
             if not sb & meet:
                 continue
             combos = None
-            for i, beta, x_at in dirs:
+            for by_gamma, i, beta, x_at in dirs:
                 gamma = sb >> x_at & field
                 if gamma:
-                    walk = walks.get((i, beta, gamma))
+                    walk = by_gamma.get(gamma)
                     if walk is None:
-                        walk = walks[i, beta, gamma] = _walk(cls, i, beta,
-                                                             gamma)
+                        walk = by_gamma[gamma] = _walk(cls, i, beta, gamma)
                     combos = walk if combos is None else [
                         (d + e, f * g) for d, f in combos for e, g in walk]
             for d, f in combos[1:]:
                 push((base + d, cab * f))
-    return cls._raw(accumulate({}, items))
+    if into is None:
+        return cls._raw(accumulate({}, items))
+    new = []
+    accumulate(into, items, new)
+    return new
 
 
 class DiffOp(SymbolPoly):

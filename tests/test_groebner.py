@@ -390,6 +390,52 @@ def test_loop_prepares_its_basis_once(monkeypatch):
         assert len(made) == 1 and len(copies) == sizes[0]
 
 
+def kept_leads(setup):
+    """The leads of a set-up's copies computed afresh: (K, sign*K,
+    coefficient) of each largest K."""
+    sign = setup.order.packing.sign
+    leads = []
+    for g in setup.copies:
+        k = max(g.terms)
+        leads.append((k, sign * k, g.terms[k]))
+    return leads
+
+
+def test_growing_basis_keeps_its_leads(monkeypatch):
+    # The leads the loop's set-up keeps equal a fresh computation after
+    # every append, and every S-pair of Lazard's homogenized loop on
+    # x^3 + x*y^2 + z^2 reduces by the set-up, with its kept leads, to what
+    # the plain list of its elements gives
+    f = parse_poly("x^3 + x*y^2 + z^2", XYZ)
+    gens = ann_fs(f) + [from_symbol(f)]
+    grown, reduced = [], []
+    append = sympoly._Divisors.append
+
+    def checking_append(self, g):
+        append(self, g)
+        assert self.leads == kept_leads(self)
+        grown.append(g)
+
+    def recording(p, divisors, order, mul=op_mul):
+        got = reduce_global(p, divisors, order, mul)
+        if isinstance(divisors, sympoly._Divisors):
+            assert divisors.leads == kept_leads(divisors)
+            want = reduce_global(p, list(divisors), order, mul)
+            assert type(got) is type(want)
+            assert [(e, c, type(c)) for e, c in got.terms.items()] == \
+                [(e, c, type(c)) for e, c in want.terms.items()]
+            reduced.append(p)
+        return got
+
+    monkeypatch.setattr(sympoly._Divisors, "append", checking_append)
+    monkeypatch.setattr(groebner, "reduce_global", recording)
+    groebner_lazard(gens, ORD3)
+    assert len(reduced) > 100 and len(grown) > len(gens)
+    setup = sympoly._Divisors([OP("x - x^2"), OP("x*dx + 1").scale(rat(2, 3))],
+                              ORD1)
+    assert setup.leads == kept_leads(setup)
+
+
 def test_validation():
     with pytest.raises(InputError):
         buchberger_mora([], ORD1)
@@ -670,9 +716,10 @@ def test_buchberger_global_non_integral_generators(monkeypatch):
 
 
 def test_division_leaves_operands_unchanged(monkeypatch):
-    # The division loops subtract from private copies of their dividend, and
-    # a partial remainder joins Mora's pool as a frozen copy.  Every operand
-    # op_mul receives must keep its terms to the end of the division, and no
+    # The division loops add their products into private copies of their
+    # dividend, and a partial remainder joins Mora's pool as a frozen copy.
+    # Every operand op_mul receives must keep its terms to the end of the
+    # division, no product may be added into an operand's dict, and no
     # result may share its dict with an input.
     seen = []
 
@@ -680,10 +727,11 @@ def test_division_leaves_operands_unchanged(monkeypatch):
         for poly, terms in seen:
             assert poly.terms == terms
 
-    def checking_mul(a, b):
+    def checking_mul(a, b, into=None):
         unchanged()
         seen.extend((q, dict(q.terms)) for q in (a, b))
-        return op_mul(a, b)
+        assert all(into is not q.terms for q, _ in seen)
+        return op_mul(a, b, into)
 
     def divide_checked(divide, p, divisors):
         seen.clear()

@@ -67,7 +67,8 @@ def test_no_product_plumbing():
 
 
 def test_op_mul_takes_two_operands():
-    assert str(inspect.signature(op_mul)) == "(a, b)"
+    # into is an output target for the product, not a mode
+    assert str(inspect.signature(op_mul)) == "(a, b, into=None)"
 
 
 def test_mora_div_takes_no_flags():

@@ -313,6 +313,112 @@ def test_packed_op_mul_matches_tuple_body(pair):
         assert listed(got.unpacked()) == listed(want)
 
 
+def packed_pair(a, b, tie="grevlex"):
+    """a and b packed under the order the division loops use for their
+    class: homogenized_order for HomogOp, operator_order for DiffOp."""
+    n = (a.arity - 1) // 2
+    order_of = homogenized_order if type(a) is HomogOp else operator_order
+    ring = _ring(order_of(n, tie).packing, type(a))
+    return ring.of(a), ring.of(b)
+
+
+def dividend_for(product, rng):
+    """A nonempty dict keyed like the product: some of its keys with the
+    opposite coefficient (they cancel), some with another one, and one key
+    of its own."""
+    into = {}
+    for k, c in product.terms.items():
+        pick = rng.randrange(3)
+        if pick == 0:
+            into[k] = -c
+        elif pick == 1:
+            into[k] = rng.choice([1, -2, Fraction(3, 4)])
+    into[min(product.terms, default=0) - 1] = 7
+    return into
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(operator_pairs(), wide_operator_pairs()),
+       st.randoms(use_true_random=False))
+@example((OP("dx^2"), OP("x^3 + x*dx - 2")), random.Random(1))
+@example((OP("x + dx"), OP("x - dx")), random.Random(2))
+@example((HomogOp({(0, 0, 2, 0): 1}),
+          HomogOp({(2, 0, 0, 2): 3, (1, 0, 1, 1): -1})), random.Random(3))
+@example((HomogOp({(1, 0, 0, 0): 1, (0, 0, 1, 0): 1}),
+          HomogOp({(1, 0, 0, 0): 1, (0, 0, 1, 0): -1})), random.Random(4))
+def test_op_mul_into_adds_the_product(pair, rng):
+    # op_mul(a, b, into) leaves into with the values, in the order, that
+    # adding the collected product op_mul(a, b) gives, and returns every key
+    # that entered into; monomial and multi-term left factors, DiffOp and
+    # HomogOp rings, terms that cancel within the product and against into
+    a, b = pair
+    if not a.terms:
+        return
+    for tie in ("lex", "grevlex"):
+        pa, pb = packed_pair(a, b, tie)
+        product = op_mul(pa, pb)
+        into = dividend_for(product, rng)
+        before = set(into)
+        want = accumulate(dict(into), product.terms.items())
+        entered = op_mul(pa, pb, into)
+        assert list(into.items()) == list(want.items())
+        assert all(into.values())
+        assert set(into) - before <= set(entered)
+
+
+def test_op_mul_into_keeps_a_term_cancelled_midway_in_place():
+    # in (dx + 1)*(x + 1) the constant term gets 1 from the walk of dx*x and
+    # then 1 from 1*1: into's -1 there cancels after the first and is 1
+    # after the second, in its old place, as adding the collected product
+    # leaves it; a key the items bring in and cancel is gone at the end
+    pa, pb = packed_pair(OP("dx + 1"), OP("x + 1"))
+    x5 = pa.packing.pack((5, 0, 0))
+    into = {0: -1, x5: 3}
+    want = accumulate(dict(into), op_mul(pa, pb).terms.items())
+    op_mul(pa, pb, into)
+    assert list(into.items()) == list(want.items())
+    assert list(into)[:2] == [0, x5] and into[0] == 1
+    pa, pb = packed_pair(OP("x + dx"), OP("x - dx"))
+    into = {x5: 3}
+    want = accumulate(dict(into), op_mul(pa, pb).terms.items())
+    entered = op_mul(pa, pb, into)
+    assert list(into.items()) == list(want.items())
+    assert set(into) - {x5} < set(entered)
+
+
+def test_op_mul_into_takes_packed_operands_only():
+    a, b = OP("x*dx + 1"), OP("dx^2 - x")
+    pa, pb = packed_pair(a, b)
+    for x, y in ((a, b), (pa, b), (a, pb)):
+        into = {}
+        with pytest.raises(InputError):
+            op_mul(x, y, into)
+        assert into == {}
+    assert op_mul(pa, pb.__class__.zero(), {1: 2}) == []
+
+
+def test_op_mul_into_refuses_the_degree_limit_as_without():
+    # the top degree is checked before any term is added, so a refused
+    # product leaves into as it was, with the message of the plain call
+    order = operator_order(1)
+    limit = order.packing.limit
+    ring = _ring(order.packing, DiffOp)
+    x = ring.of(DiffOp.monomial((limit // 2, 0, 0)))
+    ok = ring.of(DiffOp.monomial((0, limit - limit // 2 - 1, 1)))
+    big = ring.of(DiffOp.monomial((0, limit - limit // 2, 1)))
+    into = {0: 1}
+    entered = op_mul(ok, x, into)
+    assert into == accumulate({0: 1}, op_mul(ok, x).terms.items())
+    assert set(entered) == set(into) - {0}
+    with pytest.raises(InputError) as plain:
+        op_mul(big, x)
+    into = {0: 1}
+    with pytest.raises(InputError) as added:
+        op_mul(big, x, into)
+    assert str(added.value) == str(plain.value)
+    assert into == {0: 1}
+
+
 def repeated(p, k):
     """p to the k >= 1 by k - 1 products, each by p on the right."""
     out = p
