@@ -353,7 +353,7 @@ def reduce_global(p, divisors, order, mul=op_mul):
     dividend = _packed(p, order)
     cls = dividend.__class__
     # (K, sign * K, coefficient) of each divisor's lead, and the divisor
-    if isinstance(divisors, _Divisors) and divisors.order is order:
+    if isinstance(divisors, _Divisors) and divisors.order == order:
         leads, gs = divisors.leads, divisors.copies
     else:
         gs = [_packed(g, order) for g in divisors]

@@ -314,9 +314,9 @@ def _chain_verdict(gb, candidate, chain, bound):
                                   if degree(k) >= bound))
     if not residual:
         return True
-    lead = max(residual)
-    if any(packing.divides(g.le(gb.order), lead)
-           for g in gb._divisors.copies):
+    mark, guard = packing.sign * max(residual), packing.guard
+    if any(not (mark - lead_mark) & guard
+           for _, lead_mark, _ in gb._divisors.leads):
         return None
     return False
 

@@ -146,8 +146,8 @@ def op_approx_div(p, divisors, bound, order=None):
     p : DiffOp whose exponents the order can key (MatrixOrder.key);
         InputError otherwise, as for the divisors
     divisors : nonempty sequence of nonzero DiffOp, or an _OpDivisors such
-        as GroebnerBasis._divisors, used as it is when prepared under this
-        order object (under any order when order is None)
+        as GroebnerBasis._divisors, used as it is when prepared under an
+        equal order (under any order when order is None)
     bound : positive int, requested accuracy N
     order : operator_order(n, tie) for the session's n, InputError for any
         other order; defaults to grevlex ties

@@ -9,13 +9,15 @@ so two exponents compare equal only when they are identical.
 
 An order's key (MatrixOrder.key) is one int per exponent, its packed key K
 (see Packing).  K adds as the exponent does and its low fields hold the
-exponent itself, so the division loops keep each exponent as its K.
+exponent itself, so the division loops keep each exponent as its K.  An
+order gets the one packing of its value (_packing): equal orders share it,
+and with it everything packed or made under it (sympoly._ring).
 """
 
 import operator
 import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .errors import InputError
 
@@ -49,12 +51,13 @@ class MatrixOrder:
 
     @cached_property
     def packing(self):
-        """The Packing of this order, made on first use and kept with it."""
-        return Packing(self)
+        """The Packing of this order's value (_packing), shared with every
+        equal order and kept on this one once asked for."""
+        return _packing(self)
 
     def __getstate__(self):
-        # the kept packing holds a struct.Struct and classes made at run
-        # time, which do not pickle; an unpickled order makes its own
+        # the kept packing holds a struct.Struct, which does not pickle; an
+        # unpickled order asks _packing again and gets the same one
         return {k: v for k, v in self.__dict__.items() if k != "packing"}
 
 
@@ -100,8 +103,8 @@ class Packing:
     outgrow that about 277-fold before InputError.
     """
 
-    __slots__ = ("order", "arity", "slots", "sign", "low", "guard", "field",
-                 "shifts", "limit", "rings", "_fields", "_endian", "_first")
+    __slots__ = ("arity", "slots", "sign", "low", "guard", "field", "shifts",
+                 "limit", "_fields", "_endian", "_first")
 
     def __init__(self, order):
         arity, width = order.arity, WIDTH
@@ -114,7 +117,7 @@ class Packing:
         else:
             digits += [[1] * arity] + [[-v for v in u] for u in units[::-1]]
         top = len(digits) - 1
-        self.order, self.arity = order, arity
+        self.arity = arity
         self.slots = tuple(
             sum(d[i] << width * (top - j) for j, d in enumerate(digits))
             for i in range(arity))
@@ -127,8 +130,6 @@ class Packing:
                             for i in range(arity))
         big = max((abs(v) for row in order.rows for v in row), default=1)
         self.limit = ((1 << width - 1) - 1) // max(big, 1)
-        # the _Packed ring classes made under this packing (sympoly._ring)
-        self.rings = {}
         self._endian = "little" if reverse else "big"
         self._first = width * top
         self._fields = struct.Struct(
@@ -199,6 +200,10 @@ class Packing:
     def join(self, a, b):
         """K of the slotwise maximum of the exponents of K a and K b."""
         return self.pack(tuple(map(max, self.unpack(a), self.unpack(b))))
+
+
+# the one Packing of each order value, made on first use
+_packing = cache(Packing)
 
 
 def series_order(arity, tie="grevlex"):

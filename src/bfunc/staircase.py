@@ -96,7 +96,7 @@ def series_approx_div(f, divisors, order, bound):
         InputError otherwise, as for the divisors; or a sympoly._Packed
         under the order's packing, as the operator division hands over
     divisors : sequence of SymbolPoly, all nonzero, or a _SeriesDivisors
-        prepared under this same order object
+        prepared under an equal order
     order : MatrixOrder whose single weight row is all -1 (lower total degree
         is larger), so leading terms sit at minimal total degree
     bound : the loop keeps dividing while the running difference still has a

@@ -22,10 +22,12 @@ a division's private dict, maps each exponent's key K under the order
 of monomials is one int addition, the largest K is the leader, and
 divisibility is one subtraction.  Tuples stay at the public boundary: terms
 are packed once on the way in (of(), Packing.pack_terms) and unpacked once
-on the way out (unpacked(), Packing.unpack_terms).
+on the way out (unpacked(), Packing.unpack_terms).  Equal orders share
+their packing, and so their rings (_ring), operands, set-ups and leads.
 """
 
 import math
+from functools import cache
 from operator import add
 
 from .errors import InputError, ZeroLeadingTermError
@@ -108,8 +110,8 @@ class _Packed:
     Each (packing, algebra) pair has its own subclass, a ring made by
     _ring, whose class attributes name them, so cls._raw, and with it
     _primitive, _divided and _Divisors.quotients, work on these as on a
-    SymbolPoly.  leading() is the largest K and must be asked under the
-    packing's order.  Like a SymbolPoly, a _Packed never changes once
+    SymbolPoly.  leading() is the largest K and must be asked under an
+    order of the packing.  Like a SymbolPoly, a _Packed never changes once
     wrapped, so its lead and top total degree are kept once found.
     """
 
@@ -149,20 +151,17 @@ class _Packed:
 
     def leading(self, order):
         """(K, coefficient) of the largest term under order, which must be
-        the packing's order.  The lead is kept with the order object that
-        asked and returned as is when that same object asks again."""
-        kept = self._lead
-        if kept is not None and kept[0] is order:
-            return kept[1]
+        an order of the packing, equal to the one this was packed under;
+        any other is refused on every call.  The lead is kept once found."""
         if not self.terms:
             raise ZeroLeadingTermError("leading term of zero is undefined")
-        if order is not self.packing.order and order != self.packing.order:
+        if order.packing is not self.packing:
             raise InputError("leading term asked under another order "
                              "than the packing's")
-        key = max(self.terms)
-        lead = key, self.terms[key]
-        self._lead = order, lead
-        return lead
+        if self._lead is None:
+            key = max(self.terms)
+            self._lead = key, self.terms[key]
+        return self._lead
 
     def le(self, order):
         return self.leading(order)[0]
@@ -174,15 +173,13 @@ class _Packed:
         return self._top
 
 
+@cache
 def _ring(packing, algebra):
     """The _Packed subclass of algebra's polynomials under packing, made
-    once and kept with the packing."""
-    ring = packing.rings.get(algebra)
-    if ring is None:
-        ring = packing.rings[algebra] = type(
-            f"Packed{algebra.__name__}", (_Packed,),
-            {"__slots__": (), "packing": packing, "algebra": algebra})
-    return ring
+    once for the process: equal orders share their packing
+    (orders._packing), and so their rings and the rings' product memos."""
+    return type(f"Packed{algebra.__name__}", (_Packed,),
+                {"__slots__": (), "packing": packing, "algebra": algebra})
 
 
 def _packed(p, order):
@@ -202,8 +199,8 @@ class _Divisors:
     under the order, each g_i once, and leads keeps the leading term of
     each, its largest K, as (K, sign*K, coefficient); a subclass reads what
     it adds for its division off their K too.  Iterating gives the g_i.
-    prepare() hands back a set-up made under the same order object as it
-    is.  Buchberger's loop grows one set-up of its packed elements with
+    prepare() hands back a set-up made under an equal order as it is.
+    Buchberger's loop grows one set-up of its packed elements with
     append().
     """
 
@@ -238,11 +235,11 @@ class _Divisors:
 
     @classmethod
     def prepare(cls, divisors, order):
-        """divisors itself when it is a cls prepared under this same order
-        object (`is`, not ==), or under any order when order is None;
-        otherwise a new cls of them."""
+        """divisors itself when it is a cls prepared under an order equal
+        to order, or under any order when order is None; otherwise a new
+        cls of them."""
         if isinstance(divisors, cls) and (order is None
-                                          or order is divisors.order):
+                                          or order == divisors.order):
             return divisors
         return cls(divisors, order)
 

@@ -32,10 +32,6 @@ from .errors import InputError, ZeroLeadingTermError
 from .orders import MatrixOrder
 from .sympoly import SymbolPoly, _Packed, _ring, accumulate
 
-# arity -> the packing of the plain order (no rows, lex ties) under which
-# op_mul multiplies tuple operands
-_PLAIN = {}
-
 
 def op_mul(a, b, into=None):
     """Normally ordered product of two operators given by their symbols.
@@ -74,10 +70,7 @@ def op_mul(a, b, into=None):
     length = len(next(iter(a.terms)))
     if len(next(iter(b.terms))) != length:
         raise InputError(f"arity mismatch: {length} vs {b.arity}")
-    packing = _PLAIN.get(length)
-    if packing is None:
-        packing = _PLAIN[length] = MatrixOrder((), "lex", length).packing
-    ring = _ring(packing, a.__class__)
+    ring = _ring(MatrixOrder((), "lex", length).packing, a.__class__)
     return _product(ring.of(a), ring.of(b)).unpacked()
 
 

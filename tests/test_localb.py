@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 import math
 import random
@@ -17,10 +18,12 @@ from bfunc.localb import (BFunctionResult, _poly_in_s, _squarefree_ints,
                           dependency_kernel, find_generator,
                           local_b_function, rational_roots, s_power_nfs,
                           verify_certificate)
-from bfunc.orders import elimination_order, operator_order
+from bfunc.orders import (MatrixOrder, Packing, elimination_order,
+                          operator_order)
 from bfunc.parser import parse_op, parse_poly
 from bfunc.printing import format_poly, format_univariate
 from bfunc.rationals import rat
+from bfunc.sympoly import _Packed
 from bfunc.weyl import DiffOp, apply_to_fs, base_arity, from_symbol, op_mul
 
 from conftest import bsearch_bases
@@ -990,3 +993,25 @@ def test_b_function_brieskorn_pham_curves(a, b):
     assert list(res.b) == want
     assert res.roots == sorted([(-v, 1) for v in values | {1}])
     verify_certificate(res)
+
+
+@pytest.mark.parametrize("strategy", ["mora", "lazard"])
+def test_b_function_leaves_no_order_garbage(strategy):
+    # equal orders share one packing, and its ring classes, for the
+    # process, so once warm a call leaves no order, packing or ring class
+    # for the collector to free
+    f = parse_poly("x^3 + y^2 + z^2", ["x", "y", "z"])
+    local_b_function(f, gb_strategy=strategy)
+    gc.collect()
+    flags, start = gc.get_debug(), len(gc.garbage)
+    try:
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        local_b_function(f, gb_strategy=strategy)
+        gc.collect()
+        left = [o for o in gc.garbage[start:]
+                if isinstance(o, (MatrixOrder, Packing))
+                or isinstance(o, type) and issubclass(o, _Packed)]
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[start:]
+    assert left == []

@@ -546,6 +546,41 @@ def test_find_generator_prepares_the_basis_once(monkeypatch):
     assert all(args[1] is cases[1][0]._divisors for args in certifications)
 
 
+def test_divisions_by_a_basis_under_an_equal_order_reuse_its_set_up(
+        monkeypatch):
+    # a fresh operator_order(n) equals the basis's order, so Mora division
+    # and the approximate division take the set-up the basis keeps as it
+    # is and make no primitive copy; the results are those under the
+    # basis's own order
+    f, gb = bsearch_bases()[0]
+    n = (f.arity - 1) // 2
+    p = from_symbol(parse_poly("x*y + y^2", ["x", "y"]))
+    divisors = gb._divisors
+    want = (mora_div(p, divisors, gb.order),
+            op_approx_div(p, divisors, 4, gb.order))
+    made = []
+
+    def counting(op, order):
+        made.append(op)
+        return primitive(op, order)
+
+    primitive = sympoly._primitive
+    monkeypatch.setattr(sympoly, "_primitive", counting)
+    order = operator_order(n)
+    assert order == gb.order and order is not gb.order
+    certificate = mora_div(p, divisors, order)
+    division = op_approx_div(p, divisors, 4, order)
+    assert made == []
+    assert division._divisors is divisors
+
+    def relation(res):
+        return [exact(q) for q in [res.remainder] + res.quotients]
+
+    assert relation(certificate) == relation(want[0])
+    assert exact(certificate.unit) == exact(want[0].unit)
+    assert relation(division) == relation(want[1])
+
+
 def test_certification_through_the_kept_set_up(monkeypatch):
     # find_generator certifies through the set-up the basis keeps; replayed
     # with the plain list of its elements, every Mora certification of the

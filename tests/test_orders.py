@@ -194,9 +194,22 @@ def test_packing_at_the_field_limit(tie):
 
 
 def test_order_pickles_after_packing():
-    # the packing an order keeps is left out of its pickle and made again
+    # the packing an order keeps is left out of its pickle, and the
+    # unpickled order gets the same one back
     order = operator_order(2)
     key = order.packing.pack((1, 0, 2, 0, 1))
     copy = pickle.loads(pickle.dumps(order))
     assert copy == order and "packing" not in vars(copy)
+    assert copy.packing is order.packing
     assert copy.packing.pack((1, 0, 2, 0, 1)) == key
+
+
+def test_equal_orders_share_one_packing():
+    # one packing per order value: equal orders that are distinct objects
+    # share it, and unequal ones do not
+    twin = operator_order(2)
+    assert twin is not operator_order(2)
+    assert operator_order(2).packing is operator_order(2).packing
+    assert twin.packing is MatrixOrder(twin.rows, twin.tie, 5).packing
+    assert operator_order(2, "lex").packing is not twin.packing
+    assert series_order(5).packing is not twin.packing

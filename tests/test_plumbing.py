@@ -7,7 +7,7 @@ Mora division always returns its unit and quotients, so no call may pass a
 track flag either.
 A term whose coefficients cancel is deleted by sympoly.accumulate alone.
 A wrapped terms dict is never changed, which is what keeps the lead that
-SymbolPoly.leading stores valid.
+a packed polynomial (sympoly._Packed.leading) keeps valid.
 Every public function and method is used: by the library, by the acceptance
 tests or in README.md.
 Mora division and the global normal form never rescan their running
@@ -20,6 +20,8 @@ normaliser.  Every division divides by the primitive copies a
 sympoly._Divisors makes and turns their quotients into the divisors' through
 its one exit: _primitive is called only in sympoly and in the shared loop,
 and no other code divides by a copy's factor.
+Equal orders share one packing, so no code tells two orders apart by
+identity.
 """
 
 import ast
@@ -106,6 +108,25 @@ def _term_deletions(path):
 def test_cancelled_terms_deleted_in_one_place():
     found = [hit for path in SOURCES for hit in _term_deletions(path)]
     assert set(found) == {"sympoly.accumulate"}
+
+
+def _order_identity(node):
+    """Whether node is an `is` or `is not` test of an order against
+    anything but None."""
+    if not isinstance(node, ast.Compare) or not any(
+            isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops):
+        return False
+    sides = [node.left] + node.comparators
+    names = [getattr(side, "attr", getattr(side, "id", "")) for side in sides]
+    return any(name.endswith("order") for name in names) and not any(
+        isinstance(side, ast.Constant) and side.value is None
+        for side in sides)
+
+
+def test_orders_compared_by_value():
+    found = [hit for path in SOURCES
+             for hit in _holders(path, _order_identity)]
+    assert found == []
 
 
 def _calls(name, min_args=0):

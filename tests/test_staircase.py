@@ -264,6 +264,24 @@ def test_packed_series_div_matches_tuple_loop():
         series_approx_div(f, [P("x")], LO1, 3)
 
 
+def test_series_div_takes_operands_packed_under_equal_orders():
+    # equal orders that are distinct objects share one packing, so a
+    # dividend packed, or a set-up prepared, under one divides under the
+    # other as under one order
+    order, twin = series_order(3), series_order(3)
+    assert twin == order and twin is not order
+    f, gs = P("1 + x - 2*x^3 + 1/3*x^5"), [P("x + x^2"), P("2*x^2 - x^4")]
+    want = series_approx_div(f, gs, order, 5)
+    for dividend, divisors in ((_packed(f, order), gs),
+                               (f, _SeriesDivisors(gs, order)),
+                               (_packed(f, order), _SeriesDivisors(gs, twin))):
+        got = series_approx_div(dividend, divisors, twin, 5)
+        assert [exact(q) for q in got.quotients] == \
+            [exact(q) for q in want.quotients]
+        assert exact(got.remainder) == exact(want.remainder)
+        assert exact(got.tail) == exact(want.tail)
+
+
 def test_series_div_remainder_off_staircase():
     names = ["x", "y"]
     f = parse_poly("y + x*y + y^3", names)

@@ -182,9 +182,9 @@ def test_leading_follows_the_asking_order():
 
 
 def test_packed_lead_answers_only_its_order():
-    # a packed polynomial keeps its lead with the order object that asked;
-    # an equal order gets the same lead, and any other order is refused on
-    # every call, also once a lead is kept
+    # a packed polynomial keeps its lead once found, for every order equal
+    # to the one it was packed under, which share its packing; any other
+    # order is refused on every call, also once a lead is kept
     f = _packed(parse_op("x*dx + 2*dx^2 - x^3", X), OP1)
     lead = (OP1.key((0, 0, 2)), 2)
     assert f.leading(OP1) == lead and f.leading(OP1) == lead
@@ -303,9 +303,9 @@ def test_primitives_factor_of_a_primitive_op_is_int_one():
 
 
 def test_divisors_prepared_again_under_another_order_object():
-    # prepare hands back a set-up made under the same order object, and
-    # under any order when none is asked for; an equal order that is
-    # another object, or a plain list, is prepared afresh
+    # prepare hands back a set-up made under an equal order, also one that
+    # is another object, and under any order when none is asked for; an
+    # order with another tie or arity, or a plain list, is prepared afresh
     order, other = operator_order(1), operator_order(1)
     assert other == order and other is not order
     ops = [parse_op("4/3*x*dx - 2/9", X)]
@@ -313,11 +313,21 @@ def test_divisors_prepared_again_under_another_order_object():
     assert type(prepared) is _Divisors and prepared.order is order
     assert _Divisors.prepare(prepared, order) is prepared
     assert _Divisors.prepare(prepared, None) is prepared
-    again = _Divisors.prepare(prepared, other)
-    assert again is not prepared and again.order is other
-    assert list(again) == ops
-    assert [h.terms for h in again.copies] == \
+    assert _Divisors.prepare(prepared, other) is prepared
+    fresh = _Divisors.prepare(ops, other)
+    assert fresh is not prepared and fresh.order is other
+    lex = operator_order(1, "lex")
+    again = _Divisors.prepare(prepared, lex)
+    assert again is not prepared and again.order is lex
+    assert [h.terms for h in fresh.copies] == \
         [h.terms for h in prepared.copies]
+    for setup in (fresh, again):
+        assert list(setup) == ops
+        assert [h.unpacked().terms for h in setup.copies] == \
+            [h.unpacked().terms for h in prepared.copies]
+    # an order of another arity prepares afresh, and so refuses the ops
+    with pytest.raises(InputError, match="arity"):
+        _Divisors.prepare(prepared, operator_order(2))
     # mora_div's plain set-up takes the operator division's as it is, but
     # not the other way round
     op_prepared = _OpDivisors.prepare(ops, order)

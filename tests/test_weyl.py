@@ -11,7 +11,7 @@ from bfunc.errors import InputError, ZeroLeadingTermError
 from bfunc.orders import homogenized_order, operator_order, series_order
 from bfunc.parser import parse_op, parse_poly
 from bfunc.printing import format_poly
-from bfunc.sympoly import SymbolPoly, _ring, accumulate
+from bfunc.sympoly import SymbolPoly, _packed, _ring, accumulate
 from bfunc.weyl import (DiffOp, FsAction, HomogOp, apply_action, apply_to_fs,
                         base_arity, e_part, from_symbol, op_mul, ord_e)
 
@@ -384,6 +384,28 @@ def test_op_mul_into_keeps_a_term_cancelled_midway_in_place():
     entered = op_mul(pa, pb, into)
     assert list(into.items()) == list(want.items())
     assert set(into) - {x5} < set(entered)
+
+
+def test_op_mul_takes_operands_packed_under_equal_orders():
+    # equal orders that are distinct objects share one packing and one
+    # ring, so operands packed under each multiply as under one order, in
+    # both algebras; an order with another tie is still refused
+    ha = HomogOp({(1, 0, 1, 0): 1, (0, 0, 2, 0): 2, (1, 1, 0, 0): -1})
+    hb = HomogOp({(2, 0, 1, 0): 1, (0, 0, 1, 2): -1, (1, 0, 0, 1): 3})
+    for order_of, x, y in (
+            (operator_order, OP("x*dx + 2*dx^2 - x^3"),
+             OP("x^2*dx - dx + 3*x")),
+            (homogenized_order, ha, hb)):
+        order, twin = order_of(1), order_of(1)
+        assert twin == order and twin is not order
+        want = op_mul(_packed(x, order), _packed(y, order))
+        got = op_mul(_packed(x, order), _packed(y, twin))
+        assert type(got) is type(want) and listed(got) == listed(want)
+        into = {}
+        op_mul(_packed(x, twin), _packed(y, order), into)
+        assert list(into.items()) == list(want.terms.items())
+        with pytest.raises(InputError, match="different orders"):
+            op_mul(_packed(x, order), _packed(y, order_of(1, "lex")))
 
 
 def test_op_mul_into_takes_packed_operands_only():
