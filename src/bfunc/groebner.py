@@ -34,9 +34,9 @@ from anywhere else: those are packed on entry and the results unpacked at
 exit.
 
 A division step adds its product m*g straight into the running dividend
-through op_mul's into, as Mora's unit and quotient updates and spair's two
-products do: no product is collected on its own first (Monagan and Pearce,
-CASC 2007).
+through op_mul's into, as Mora's unit and quotient updates, spair's two
+products and each level of opdiv.op_approx_div do: no product is collected
+on its own first (Monagan and Pearce, CASC 2007).
 
 Every element the loop appends, generators included, is primitive: int
 coefficients with gcd 1 and a positive lead.  Its S-pairs cross-multiply the
@@ -59,7 +59,7 @@ from .errors import InputError
 from .opdiv import _OpDivisors
 from .orders import MatrixOrder, homogenized_order
 from .rationals import Rational
-from .sympoly import (_divided, _Divisors, _integral, _packed,
+from .sympoly import (_divided, _Division, _Divisors, _integral, _packed,
                       _primitive, _rescale, accumulate)
 from .weyl import DiffOp, HomogOp, op_mul
 
@@ -137,8 +137,9 @@ def mora_div(p, divisors, order):
     quotients hold lam times those of division over Q.  Where the quotient
     term's coefficient a/b is not an int, all of them and lam are
     multiplied by b first.  The leader, the ecart and the pool order read
-    exponents only, so the steps are those over Q, and one division by lam
-    at exit gives its exact relation, unpacked there when p was not packed.
+    exponents only, so the steps are those over Q.  It leaves through a
+    sympoly._Division, read at once: one division by lam gives its exact
+    relation, unpacked when p was not packed.
     """
     divisors = _Divisors.prepare(divisors, order)
     packing = order.packing
@@ -200,12 +201,9 @@ def mora_div(p, divisors, order):
             for q, qs in zip(quots, q_s):
                 if qs.terms:
                     op_mul(m, qs, q)
-    if dividend is not p:
-        cls, back = p.__class__, packing.unpack_terms
-        unit, h, quots = back(unit), back(h), [back(q) for q in quots]
-    return MoraResult(_divided(cls, unit, lam),
-                      divisors.quotients(cls, quots, lam),
-                      _divided(cls, h, lam))
+    division = _Division(p.__class__, divisors, quots, h, lam)
+    return MoraResult(division._rational(unit), division.quotients,
+                      division.remainder)
 
 
 def spair(p, q, order, mul=op_mul):

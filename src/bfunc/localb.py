@@ -33,7 +33,7 @@ from .linalg import add_column, nullspace
 from .opdiv import op_approx_div
 from .orders import MatrixOrder, elimination_order, operator_order
 from .rationals import Rational
-from .sympoly import accumulate
+from .sympoly import _Division, accumulate
 from .weyl import DiffOp, apply_to_fs, base_arity, from_symbol, op_mul
 
 
@@ -330,12 +330,11 @@ def _chain_certificate(gb, candidate, chain):
     so s^i = sum_j Q_ij g_j + r_i for the chained Q_ij = s Q_(i-1)j + q_ij
     (s is central).  The sums run on the int dicts of the copies'
     quotients over one lcm of their scales, keyed by K, where the shift by
-    s adds K(s); they leave through the basis's one exit,
-    sympoly._Divisors.quotients.
+    s adds K(s); they leave through a sympoly._Division by the basis's
+    set-up, as every local division does.
     """
     order = gb.order
-    packing = order.packing
-    shift = packing.slots[(order.arity - 1) // 2]
+    shift = order.packing.slots[(order.arity - 1) // 2]
     den, ints = _ints(candidate)
     scale = math.lcm(*(div._scale for div in chain))
     chained = [{} for _ in gb.elements]
@@ -348,10 +347,9 @@ def _chain_certificate(gb, candidate, chain):
         if a:
             for total, q in zip(sums, chained):
                 accumulate(total, ((k, a * c) for k, c in q.items()))
-    quotients = gb._divisors.quotients(
-        DiffOp, [packing.unpack_terms(total) for total in sums], den * scale)
-    return MoraResult(DiffOp.constant(1, order.arity), quotients,
-                      DiffOp.zero())
+    division = _Division(DiffOp, gb._divisors, sums, {}, den * scale)
+    return MoraResult(DiffOp.constant(1, order.arity), division.quotients,
+                      division.remainder)
 
 
 # -- rational roots ------------------------------------------------------------
@@ -364,13 +362,15 @@ def _eval_poly(coeffs, x, m):
     return acc
 
 
-def _deflate(coeffs, root):
-    """Divide by (s - root); exact for an actual root."""
-    m = len(coeffs) - 1
-    out = [Rational(0)] * m
-    out[m - 1] = coeffs[m]
-    for i in range(m - 1, 0, -1):
-        out[i - 1] = coeffs[i] + root * out[i]
+def _deflate(p, root):
+    """p / (v*s - u) for a root u/v of the primitive int polynomial p: by
+    Gauss's lemma the quotient is integral, primitive and positive-led."""
+    u, v = root.numerator, root.denominator
+    out = [0] * (len(p) - 1)
+    acc = 0
+    for i in range(len(p) - 1, 0, -1):
+        acc = (p[i] + u * acc) // v
+        out[i - 1] = acc
     return out
 
 
@@ -410,15 +410,14 @@ def _pseudo_divmod(a, b):
     return q, r
 
 
-def _squarefree_ints(work):
-    """Primitive integer polynomial, up to sign, with work's distinct roots.
+def _squarefree_ints(p):
+    """Primitive integer polynomial, up to sign, with p's distinct roots.
 
-    work has rational coefficients and degree at least 1.  Over the
-    integers it is p / gcd(p, p'), for p the primitive multiple of work:
-    the gcd is the last nonzero term of the primitive pseudo-remainder
-    sequence of p and p', and the division is exact.
+    p is a primitive integer polynomial of degree at least 1.  Over the
+    integers this is p / gcd(p, p'): the gcd is the last nonzero term of
+    the primitive pseudo-remainder sequence of p and p', and the division
+    is exact.
     """
-    p = _primitive_ints(_ints(work)[1])
     g, h = p, _primitive_ints([i * c for i, c in enumerate(p)][1:])
     while h:
         g, h = h, _primitive_ints(_pseudo_divmod(g, h)[1])
@@ -470,8 +469,8 @@ def rational_roots(coeffs):
     one candidate per root of it modulo a prime, among them every rational
     root (_candidates).  Each candidate is tested on the primitive integer
     multiple of the polynomial (_vanishes); one that is a root is deflated
-    out exactly, on rationals, and retested for multiplicity.  What stays
-    is the irrational cofactor.
+    out of it exactly, on ints (_deflate), and retested for multiplicity.
+    What stays, made monic, is the irrational cofactor.
     """
     work = [Rational(c) for c in coeffs]
     if not work or work[-1] != 1:
@@ -480,17 +479,16 @@ def rational_roots(coeffs):
     while len(work) > 1 and not work[0]:
         roots.append(Rational(0))
         work = work[1:]
-    if len(work) > 1:
-        ints = _primitive_ints(_ints(work)[1])
-        for cand in sorted(_candidates(_squarefree_ints(work))):
-            while len(work) > 1 and _vanishes(ints, cand):
+    ints = _primitive_ints(_ints(work)[1])
+    if len(ints) > 1:
+        for cand in sorted(_candidates(_squarefree_ints(ints))):
+            while len(ints) > 1 and _vanishes(ints, cand):
                 roots.append(cand)
-                work = _deflate(work, cand)
-                ints = _primitive_ints(_ints(work)[1])
+                ints = _deflate(ints, cand)
     grouped = []
     for r in sorted(set(roots)):
         grouped.append((r, roots.count(r)))
-    return grouped, tuple(work)
+    return grouped, tuple(Rational(c, ints[-1]) for c in ints)
 
 
 # -- the pipeline ---------------------------------------------------------------

@@ -9,63 +9,49 @@ M_k and shrinks by M_k after each level, so the final remainder agrees with
 an exact division below the requested accuracy.
 
 The running remainder and the quotients are kept as ints by the rule of
-sympoly._Divisors and divided by their common scale once, the remainder at
-exit and the quotients when first read, so the result is exact over Q.
+sympoly._Divisors and handed over as a sympoly._Division, which divides
+them by their common scale when first read, so the result is exact over Q.
 They are keyed by the packed key K of the operator order (orders.Packing),
-packed once at entry and unpacked once on the way out: a term's e-weight
-is K's first digit, a level moves to the series order by subtracting one
+packed once at entry and unpacked once on the way out: a term's e-weight is
+K's first digit, a level moves to the series order by subtracting one
 constant times its e-weight and its quotients move back by adding one, and
-the products run on packed copies of the divisors.  Everything that
-depends only on the divisors and the order is built once per divisor list,
-from the packed copies, in an _OpDivisors.  A GroebnerBasis keeps the one
-for its elements from its first division on, for as long as the basis
-lives; a plain list is prepared afresh on each call.
+the products run on packed copies of the divisors, each added straight into
+the running remainder through op_mul's into, as in groebner's divisions.
+Everything that depends only on the divisors and the order is built once
+per divisor list, from the packed copies, in an _OpDivisors.  A
+GroebnerBasis keeps the one for its elements from its first division on,
+for as long as the basis lives; a plain list is prepared afresh on each
+call.
 """
 
 import math
-from functools import cached_property
 
 from .errors import InputError
 from .orders import operator_order, series_order
 from .staircase import _SeriesDivisors, series_approx_div
-from .sympoly import (SymbolPoly, _divided, _Divisors, _integral, _rescale,
+from .sympoly import (SymbolPoly, _Division, _Divisors, _integral, _rescale,
                       _ring, accumulate)
 from .weyl import DiffOp, op_mul, ord_e
 
 
-class OpDivisionResult:
+class OpDivisionResult(_Division):
     """P = sum(quotients_i * divisor_i) + remainder, exactly.
 
     Quotients and remainder are guaranteed only below the requested bound;
     schedule records (level, M_level, bound before the level) in run order.
     exact: no level cut a term off its e-part and every inner series
     division ended with an empty tail, so every larger bound runs the same
-    steps and gives these quotients and this remainder.
-
-    op_approx_div hands over its pseudo-division as it ends, as
-    staircase.ApproxDivisionResult does: the int dicts _qbars of _scale
-    times the quotients of the copies in _divisors, its _OpDivisors, and
-    _rbar of _scale times the remainder, keyed by K under the divisors'
-    order.  The remainder is built at once, the exact quotients when first
-    read.
+    steps and gives these quotients and this remainder.  The rest is
+    op_approx_div's hand-over (sympoly._Division).
     """
 
     def __init__(self, divisors, qbars, rbar, scale, requested_bound,
                  initial_bound, schedule, exact):
-        self._divisors, self._qbars, self._rbar = divisors, qbars, rbar
-        self._scale = scale
-        self.remainder = _divided(
-            DiffOp, divisors.order.packing.unpack_terms(rbar), scale)
+        super().__init__(DiffOp, divisors, qbars, rbar, scale)
         self.requested_bound = requested_bound
         self.initial_bound = initial_bound
         self.schedule = schedule
         self.exact = exact
-
-    @cached_property
-    def quotients(self):
-        unpack = self._divisors.order.packing.unpack_terms
-        return self._divisors.quotients(
-            DiffOp, [unpack(q) for q in self._qbars], self._scale)
 
 
 def accuracy_schedule(divisors, top, order):
@@ -214,7 +200,7 @@ def op_approx_div(p, divisors, bound, order=None):
                     ql = {key + up: c * a // b for key, c in q.items()}
                     accumulate(acc, ql.items())
                     minus = g.__class__._raw({e: -c for e, c in ql.items()})
-                    accumulate(remainder, op_mul(minus, g).terms.items())
+                    op_mul(minus, g, remainder)
         cur -= losses[k]
     return OpDivisionResult(divisors, quotients, remainder, scale, bound,
                             initial_bound, schedule, exact)

@@ -6,8 +6,9 @@ both Buchberger loops (Mora's and the global one) the basis elements and
 their S-pairs are primitive integer multiples.  The divisions pseudo-divide
 on ints, by the rule sympoly's docstring sets out, and linalg.add_column
 keeps its columns and pivots as ints (fraction-free elimination).  Each
-becomes rational again, by one division, when it is handed out; the series
-division's results, when they are first read.
+becomes rational again by one division.  Every local division leaves
+through one sympoly._Division: the approximate divisions build their
+rationals when first read, and Mora division builds them at exit.
 gmpy2 is used when present because its mpq type is several times faster than
 fractions.Fraction; both expose the same arithmetic and print identically.
 Code that takes a coefficient apart uses only .numerator, .denominator and

@@ -12,12 +12,12 @@ The loop runs on packed keys K under the series order (orders.Packing):
 the lookup is the guard-bit divisibility test against each lead in turn,
 first match wins, a quotient term is K - K_lead, and a product with a tail
 is one addition per pair of terms.  The dividend is packed at entry (the
-operator division hands over its e-levels packed already), and the result
-unpacks what is read, once.  The loop pseudo-divides on ints by the rule of
-sympoly._Divisors, and scales its running difference, quotients and
-remainder up where a quotient term would not be an int.  Its result keeps
-those ints and the accumulated scale and builds the exact rationals when
-they are first read; the operator division reads the ints and never builds
+operator division hands over its e-levels packed already).  The loop
+pseudo-divides on ints by the rule of sympoly._Divisors, and scales its
+running difference, quotients and remainder up where a quotient term would
+not be an int.  It hands those ints and the accumulated scale over as a
+sympoly._Division, which builds the exact rationals, unpacked, when they
+are first read; the operator division reads the ints and never builds
 them.  The divisor side (packed leads and tails) is built once per divisor
 list in a _SeriesDivisors; the operator division keeps one for the initial
 parts of a basis and hands it to every series division it makes.
@@ -27,43 +27,26 @@ import math
 from functools import cached_property
 
 from .errors import InputError
-from .sympoly import _divided, _Divisors, _integral, _Packed, _rescale, accumulate
+from .sympoly import (_Division, _Divisors, _integral, _Packed, _rescale,
+                      accumulate)
 
 
-class ApproxDivisionResult:
+class ApproxDivisionResult(_Division):
     """Output of series division: f = sum(q_i g_i) + remainder + tail.
 
     The identity is exact; quotients and remainder are guaranteed only up to
     the degree bound, and the tail has minimum total degree > degree_bound.
-
-    series_approx_div hands over its pseudo-division as it ends: the int
-    dicts _qbars of _scale times the quotients of the copies in _divisors,
-    its _SeriesDivisors, and those of the remainder and the tail, also
-    times _scale, all keyed by K under the divisors' order.  The exact
-    rationals, on exponent tuples, are built when first read.
+    The int dict _tail of the tail is kept as the remainder's
+    (sympoly._Division), and read the same way.
     """
 
-    def __init__(self, poly_cls, divisors, qbars, rbar, tail, scale, bound):
-        self._cls, self._divisors = poly_cls, divisors
-        self._qbars, self._rbar, self._tail = qbars, rbar, tail
-        self._scale = scale
-        self.degree_bound = bound
-
-    def _unpacked(self, data):
-        return self._divisors.order.packing.unpack_terms(data)
-
-    @cached_property
-    def quotients(self):
-        return self._divisors.quotients(
-            self._cls, [self._unpacked(q) for q in self._qbars], self._scale)
-
-    @cached_property
-    def remainder(self):
-        return _divided(self._cls, self._unpacked(self._rbar), self._scale)
+    def __init__(self, cls, divisors, qbars, rbar, tail, scale, bound):
+        super().__init__(cls, divisors, qbars, rbar, scale)
+        self._tail, self.degree_bound = tail, bound
 
     @cached_property
     def tail(self):
-        return _divided(self._cls, self._unpacked(self._tail), self._scale)
+        return self._rational(self._tail)
 
 
 class _SeriesDivisors(_Divisors):

@@ -11,9 +11,10 @@ deleted.  Arithmetic collects its terms through it, and division loops hold
 their running sums as private dicts changed only through it, wrapped once
 they are done.  The divisions pseudo-divide (Knuth, TAOCP vol. 2, 4.6.1) on
 integer multiples of those sums: _integral and _primitive take coefficients
-to ints, and _divided brings them back to rationals at exit.  Every division
+to ints, and _divided brings them back to rationals.  Every division
 divides by the primitive copies of its divisors that a _Divisors makes, and
-its quotients leave through _Divisors.quotients.
+every local division leaves through a _Division: the approximate divisions
+build their rationals when first read, and Mora division at exit.
 
 The Buchberger loops, Mora division, reduce_global, the operator product
 and both approximate divisions run on packed keys: a _Packed polynomial, or
@@ -27,7 +28,7 @@ their packing, and so their rings (_ring), operands, set-ups and leads.
 """
 
 import math
-from functools import cache
+from functools import cache, cached_property
 from operator import add
 
 from .errors import InputError, ZeroLeadingTermError
@@ -98,8 +99,7 @@ def _rescale(data, b):
 
 def _divided(cls, data, den, num=1):
     """The int coefficients of data times num/den, as exact rationals,
-    wrapped in cls: the one exit of the pseudo-dividing loops, which carry
-    an integer multiple of their rational result and divide once."""
+    wrapped in cls: a pseudo-dividing loop's one division by its scale."""
     return cls._raw({e: Rational(c * num, den) for e, c in data.items()})
 
 
@@ -251,6 +251,38 @@ class _Divisors:
         the int dicts qbars of scale times those of the copies."""
         return [_divided(cls, q, scale * k.denominator, k.numerator)
                 for q, k in zip(qbars, self.factors)]
+
+
+class _Division:
+    """What a pseudo-dividing loop hands over as it ends: the int dicts
+    qbars of the quotients of the primitive copies in divisors, a
+    _Divisors, and rbar of the remainder, keyed by K under its order and
+    each scale times the exact value.  quotients and remainder are built
+    from them when first read, wrapped in cls and unpacked to exponent
+    tuples unless cls is a packed ring.
+    """
+
+    def __init__(self, cls, divisors, qbars, rbar, scale):
+        self._cls, self._divisors = cls, divisors
+        self._qbars, self._rbar, self._scale = qbars, rbar, scale
+
+    def _rational(self, data):
+        """The exact polynomial of an int dict keyed and scaled as rbar."""
+        return _divided(self._cls, self._keyed(data), self._scale)
+
+    def _keyed(self, data):
+        if issubclass(self._cls, _Packed):
+            return data
+        return self._divisors.order.packing.unpack_terms(data)
+
+    @cached_property
+    def quotients(self):
+        return self._divisors.quotients(
+            self._cls, [self._keyed(q) for q in self._qbars], self._scale)
+
+    @cached_property
+    def remainder(self):
+        return self._rational(self._rbar)
 
 
 class SymbolPoly:

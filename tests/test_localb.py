@@ -827,12 +827,14 @@ def test_roots_by_construction(time_limit, linear, c):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(big_roots, positive)
 def test_squarefree_ints_by_construction(time_limit, linear, c):
-    distinct = _with_multiplicities([(r, 1) for r, _ in linear], c)
-    scale = math.lcm(*(x.denominator for x in distinct))
-    ints = [int(x * scale) for x in distinct]
-    want = [x // math.gcd(*ints) for x in ints]
+    def primitive(coeffs):
+        scale = math.lcm(*(x.denominator for x in coeffs))
+        ints = [int(x * scale) for x in coeffs]
+        return [x // math.gcd(*ints) for x in ints]
+
+    want = primitive(_with_multiplicities([(r, 1) for r, _ in linear], c))
     with time_limit:
-        got = _squarefree_ints(_with_multiplicities(linear, c))
+        got = _squarefree_ints(primitive(_with_multiplicities(linear, c)))
     assert got in (want, [-x for x in want])
 
 

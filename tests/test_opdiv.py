@@ -272,6 +272,23 @@ def test_packed_op_approx_div_matches_tuple_loop(time_limit):
     assert flags == {True, False}
 
 
+def test_division_builds_its_rationals_when_first_read():
+    # op_approx_div hands over its int dicts; the remainder and the
+    # quotients are built when first read, each on its own, and are the
+    # tuple loop's, dict order and coefficient types included
+    order = operator_order(1)
+    p = OP("dx^2 + 1/2*x*s")
+    divisors = [OP("(1 + x)*dx + x"), OP("2/3*x*dx - 4/9*s")]
+    res = op_approx_div(p, divisors, 5, order)
+    assert "remainder" not in vars(res) and "quotients" not in vars(res)
+    want = tuple_op_approx_div(p, divisors, 5, order)
+    assert listed(res.remainder) == listed(want.remainder)
+    assert "quotients" not in vars(res)
+    assert [listed(q) for q in res.quotients] == \
+        [listed(q) for q in want.quotients]
+    assert vars(res)["remainder"] is res.remainder
+
+
 # --------------------------------------------------------------- exactness
 
 def test_exact_division_is_that_of_every_larger_bound(monkeypatch):

@@ -22,6 +22,10 @@ its one exit: _primitive is called only in sympoly and in the shared loop,
 and no other code divides by a copy's factor.
 Equal orders share one packing, so no code tells two orders apart by
 identity.
+Every local division leaves through one sympoly._Division, so
+_Divisors.quotients is called from that record alone.  A division step adds
+its product into its running dict through op_mul's into, so no code passes
+a product's terms to accumulate.
 """
 
 import ast
@@ -153,6 +157,60 @@ def test_primitive_copies_and_their_exit_in_one_place(tmp_path):
         "                        k.numerator)\n")
     assert _holders(probe, _calls("_primitive")) == ["probe.copy"]
     assert _holders(probe, _calls("_divided", 4)) == ["probe.Setup.exit"]
+
+
+def test_quotients_leave_through_the_division_record(tmp_path):
+    exits = {hit for path in SOURCES
+             for hit in _holders(path, _calls("quotients"))}
+    assert exits == {"sympoly._Division.quotients"}
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "class _Division:\n    def quotients(self):\n"
+        "        return self._divisors.quotients(cls, qbars, scale)\n"
+        "def mora_div(p, divisors):\n"
+        "    return divisors.quotients(cls, quots, lam)\n"
+        "def reader(res):\n    return res.quotients\n")
+    assert _holders(probe, _calls("quotients")) == \
+        ["probe._Division.quotients", "probe.mora_div"]
+
+
+PRODUCTS = {"op_mul", "mul"}
+
+
+def _collected_products(path):
+    """Qualified names of the functions that pass the terms of a product
+    to accumulate: an accumulate( call whose items hold a product call, or
+    a name the function bound to one."""
+    def product(node):
+        return isinstance(node, ast.Call) and _callee(node) in PRODUCTS
+
+    found = set()
+    for func in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        bound = {target.id for node in ast.walk(func)
+                 if isinstance(node, ast.Assign) and product(node.value)
+                 for target in node.targets if isinstance(target, ast.Name)}
+        for node in ast.walk(func):
+            if _calls("accumulate")(node) and any(
+                    product(sub) or (isinstance(sub, ast.Name)
+                                     and sub.id in bound)
+                    for arg in node.args[1:] for sub in ast.walk(arg)):
+                found.add(f"{path.stem}.{func.name}")
+    return found
+
+
+def test_products_added_into_their_dicts(tmp_path):
+    assert set().union(*map(_collected_products, SOURCES)) == set()
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def level(m, g, r):\n"
+        "    accumulate(r, op_mul(m, g).terms.items())\n"
+        "def named(m, g, r):\n    prod = op_mul(m, g)\n"
+        "    accumulate(r, prod.terms.items())\n"
+        "def into(m, g, r, q):\n    op_mul(m, g, r)\n"
+        "    accumulate(q, ((e, -c) for e, c in m.terms.items()))\n")
+    assert _collected_products(probe) == {"probe.level", "probe.named"}
 
 
 SET_UPS = {"_Divisors", "_OpDivisors", "_SeriesDivisors"}
